@@ -114,18 +114,21 @@ def cmd_gen(args):
 
 
 def cmd_reg(args):
-    g = _load(args)
-    try:
-        report = rg.reg(g, method=args.method, budget=args.budget,
-                        oracle_max_n=args.oracle_max_n)
-    except rg.OracleGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.budget < 0:
+        print("error: --budget must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    g = _load(args)
+    report = rg.reg(g, method=args.method, budget=args.budget,
+                    oracle_max_n=args.oracle_max_n)
     _emit(fm.report_to_jsonable(report), args)
     return EXIT_OK
 
 
 def cmd_verify(args):
+    if not 1 <= args.max_n <= gr.ENUMERATION_MAX_N:
+        print(f"error: --max-n must be between 1 and {gr.ENUMERATION_MAX_N}",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = vf.run_verification(max_n=args.max_n,
                                  connected_only=args.connected_only,
                                  jobs=args.jobs)
@@ -213,7 +216,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (fm.ParseError, FileNotFoundError) as exc:
+    except (fm.ParseError, FileNotFoundError, rg.OracleGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,23 +29,6 @@ from .groebner import MonomialIdeal
 HOCHSTER_MAX_VERTICES = 16
 
 
-class SimplicialComplex:
-    """Stanley-Reisner view of a squarefree monomial ideal: a subset is a
-    face iff it contains no generator support."""
-
-    def __init__(self, vertex_count, nonface_masks):
-        self.vertex_count = vertex_count
-        self.nonfaces = tuple(sorted(set(nonface_masks)))
-
-    @classmethod
-    def from_ideal(cls, ideal: MonomialIdeal):
-        return cls(ideal.nvars, ideal.gens)
-
-    def is_face(self, vertices) -> bool:
-        mask = vertices if isinstance(vertices, int) else sum(1 << v for v in vertices)
-        return not any(g & mask == g for g in self.nonfaces)
-
-
 def _bits(mask):
     out = []
     while mask:

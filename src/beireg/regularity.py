@@ -20,8 +20,7 @@ import os
 from dataclasses import dataclass
 
 from . import graphs as gr
-from .groebner import (NonSquarefreeLeadError, PolynomialContext,
-                       binomial_edge_ideal, initial_ideal, lex_groebner)
+from .groebner import PolynomialContext, initial_ideal, lex_groebner
 from .hochster import hochster_regularity
 
 ORACLE_MAX_N_DEFAULT = 8
@@ -30,13 +29,16 @@ DEFAULT_BUDGET = 3
 
 
 class OracleGateError(ValueError):
-    """The graph exceeds the configured oracle size gate."""
+    """The graph exceeds the oracle size gate, or the gate is malformed."""
 
 
 def oracle_gate_from_env():
     raw = os.environ.get(ORACLE_MAX_N_ENV)
     if raw is None:
         return ORACLE_MAX_N_DEFAULT
+    if not raw.strip().isdecimal():
+        raise OracleGateError(
+            f"{ORACLE_MAX_N_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -90,32 +92,22 @@ def bounds(g):
 _oracle_memo: dict = {}
 
 
+def _initial_ideal(sub):
+    """Squarefree initial ideal of the binomial edge ideal of sub."""
+    return initial_ideal(lex_groebner(sub), PolynomialContext(sub.n))
+
+
 def _oracle_connected(sub):
     """Groebner/homology value for a connected graph, memoized by canonical
-    form.  If the initial ideal fails squarefreeness (never expected) the
-    reversed vertex order is tried once before giving up."""
+    form.  The initial ideal is squarefree, so the regularity of its
+    quotient equals that of S/J_G (Conca & Varbaro, Invent. Math. 2020)."""
     key = (gr.canonical_form(sub) if sub.n <= gr.CANONICAL_MAX_N
            else (sub.n, tuple(sub.edges())))
     if key in _oracle_memo:
         return _oracle_memo[key]
-    ctx = PolynomialContext(sub.n)
-    try:
-        gb = lex_groebner(binomial_edge_ideal(sub, ctx), ctx)
-        ideal = initial_ideal(gb, ctx)
-    except NonSquarefreeLeadError:
-        flipped = gr.relabel(sub, list(reversed(range(sub.n))))
-        gb = lex_groebner(binomial_edge_ideal(flipped, ctx), ctx)
-        ideal = initial_ideal(gb, ctx)
-    value = hochster_regularity(ideal, max_vertices=2 * sub.n)
+    value = hochster_regularity(_initial_ideal(sub), max_vertices=2 * sub.n)
     _oracle_memo[key] = value
     return value
-
-
-def oracle_direct(g):
-    """Whole-graph pipeline without the component split (cross-check hook)."""
-    ctx = PolynomialContext(g.n)
-    gb = lex_groebner(binomial_edge_ideal(g, ctx), ctx)
-    return hochster_regularity(initial_ideal(gb, ctx))
 
 
 def oracle_reg(g, max_n=None):
@@ -139,9 +131,7 @@ def initial_ideals_of(g):
     for comp in gr.components(g):
         sub, _ = gr.induced_subgraph(g, comp)
         if sub.n >= 2:
-            ctx = PolynomialContext(sub.n)
-            gb = lex_groebner(binomial_edge_ideal(sub, ctx), ctx)
-            out.append(initial_ideal(gb, ctx))
+            out.append(_initial_ideal(sub))
     return out
 
 

@@ -183,7 +183,7 @@ def _reduce_full(p, basis_polys):
 
 def assert_is_groebner(basis):
     """Every S-polynomial of the basis must reduce to zero against it."""
-    polys = [{b.lead: Fraction(1), b.trail: Fraction(b.sign)} for b in basis]
+    polys = [{b.lead: Fraction(1), b.trail: Fraction(-1)} for b in basis]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             f, g = polys[i], polys[j]

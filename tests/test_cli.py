@@ -3,6 +3,7 @@ import json
 import pytest
 
 from beireg import cli
+from beireg import regularity as rg
 from beireg import verification as vf
 
 
@@ -129,6 +130,13 @@ class TestReg:
         assert code == 1
         assert "gate" in err
 
+    @pytest.mark.parametrize("budget", ["-5", "-1"])
+    def test_negative_budget_is_usage_error(self, capsys, fixtures_dir, budget):
+        code, out, err = run(capsys, "reg", str(fixtures_dir / "cl_example.json"),
+                             "--budget", budget)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -139,6 +147,12 @@ class TestVerify:
         assert data["graphCounts"] == {"1": 1, "2": 2, "3": 4, "4": 11}
         assert all(c["fail"] == 0 and c["counterexamples"] == []
                    for c in data["checks"].values())
+
+    @pytest.mark.parametrize("max_n", ["0", "-1", "8", "9"])
+    def test_max_n_out_of_range_is_usage_error(self, capsys, max_n):
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_fault_injection_detected(self):
         # harness self-test: a corrupted ground truth must surface as
@@ -181,3 +195,17 @@ class TestUsage:
 
     def test_missing_file(self, capsys):
         assert cli.main(["invariants", "/nonexistent/file"]) == 1
+
+    @pytest.mark.parametrize("argv", [("reg", "C4", "--method", "oracle"),
+                                      ("reg", "C4", "--method", "structural"),
+                                      ("verify", "--max-n", "2")])
+    @pytest.mark.parametrize("raw", ["x", "-1", "2.5"])
+    def test_malformed_oracle_gate_env(self, capsys, monkeypatch, tmp_path,
+                                       argv, raw):
+        c4 = tmp_path / "c4.edges"
+        c4.write_text("n 4\n0 1\n1 2\n2 3\n0 3\n")
+        monkeypatch.setenv(rg.ORACLE_MAX_N_ENV, raw)
+        code, out, err = run(capsys, *[str(c4) if a == "C4" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert rg.ORACLE_MAX_N_ENV in err

@@ -3,17 +3,15 @@ import random
 import pytest
 
 from beireg import graphs as gr
-from beireg.groebner import (MonomialIdeal, PolynomialContext,
-                             binomial_edge_ideal, initial_ideal, lex_groebner)
-from beireg.hochster import SimplicialComplex, hochster_regularity
+from beireg.groebner import (MonomialIdeal, PolynomialContext, initial_ideal,
+                             lex_groebner)
+from beireg.hochster import hochster_regularity
 
 from helpers import naive_monomial_regularity
 
 
 def ideal_of(g):
-    ctx = PolynomialContext(g.n)
-    gb = lex_groebner(binomial_edge_ideal(g, ctx), ctx)
-    return initial_ideal(gb, ctx)
+    return initial_ideal(lex_groebner(g), PolynomialContext(g.n))
 
 
 def mask(*verts):
@@ -21,19 +19,6 @@ def mask(*verts):
     for v in verts:
         out |= 1 << v
     return out
-
-
-class TestSimplicialComplex:
-    def test_faces_avoid_generators(self):
-        cx = SimplicialComplex(4, [mask(0, 1)])
-        assert cx.is_face([0])
-        assert cx.is_face([0, 2, 3])
-        assert not cx.is_face([0, 1])
-        assert not cx.is_face([0, 1, 2])
-
-    def test_empty_set_is_face(self):
-        cx = SimplicialComplex(3, [mask(0, 1, 2)])
-        assert cx.is_face([])
 
 
 class TestHollowSimplex:
