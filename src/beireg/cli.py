@@ -117,6 +117,9 @@ def cmd_reg(args):
     if args.budget < 0:
         print("error: --budget must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    if args.oracle_max_n is not None and args.oracle_max_n < 0:
+        print("error: --oracle-max-n must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     g = _load(args)
     report = rg.reg(g, method=args.method, budget=args.budget,
                     oracle_max_n=args.oracle_max_n)
@@ -128,6 +131,9 @@ def cmd_verify(args):
     if not 1 <= args.max_n <= gr.ENUMERATION_MAX_N:
         print(f"error: --max-n must be between 1 and {gr.ENUMERATION_MAX_N}",
               file=sys.stderr)
+        return EXIT_USAGE
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     report = vf.run_verification(max_n=args.max_n,
                                  connected_only=args.connected_only,

@@ -70,6 +70,11 @@ def graph_to_text(g):
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text):
     try:
         data = json.loads(text)
@@ -80,14 +85,18 @@ def parse_graph_json(text):
     n = data["n"]
     edges = data.get("edges", [])
     labels = data.get("labels")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError("'n' must be a non-negative integer")
+    if not isinstance(edges, list):
+        raise ParseError("'edges' must be a list of pairs")
     seen = set()
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2):
             raise ParseError(f"edge {e!r} is not a pair")
         u, v = e
+        if not (_is_int(u) and _is_int(v)):
+            raise ParseError(f"edge {e!r} has a non-integer endpoint")
         if u == v:
             raise ParseError(f"self-loop edge {u} {v}")
         key = (min(u, v), max(u, v))

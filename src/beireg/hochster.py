@@ -11,10 +11,16 @@ reductions keep the linear algebra small:
     vertex groups, the restriction is a join and contributions add;
   * strong collapses: a vertex whose deletion is forced by another vertex
     (every face through v extends by u) can be removed without changing
-    the homotopy type;
+    the homotopy type.  The generators are inclusion-minimal, so the test
+    for v only scans the generators through v;
   * Alexander duality: homology in degree h of the restriction equals
     homology in degree |sigma| - h - 3 of the complement complex, so the
     top-degree probes only ever build small boundary matrices.
+
+The answer for a set depends only on the homotopy type of its restriction,
+and every set a reduction passes through keeps that type.  So one sweep
+memoizes the answer under every set on each reduction path, and a later
+reduction stops at the first set already seen.
 
 All ranks are computed by exact integer elimination, so the result is the
 characteristic-zero value with no floating point anywhere.
@@ -106,7 +112,8 @@ def _rank(columns):
 
 
 class _RestrictedSweep:
-    """Sweep machinery for one squarefree ideal."""
+    """Sweep machinery for one squarefree ideal, given by its
+    inclusion-minimal generators."""
 
     def __init__(self, gens):
         self.gens = gens
@@ -128,79 +135,97 @@ class _RestrictedSweep:
                     frontier.append(u)
         return seen
 
-    def _internal(self, sigma):
-        return [g for g in self.gens if g & sigma == g]
-
     def _gen_components(self, sigma):
-        """Vertex groups of sigma induced by overlapping internal generators."""
-        internal = self._internal(sigma)
-        comps = []
-        for g in internal:
-            merged = g
+        """Join factors of the restriction to sigma: (vertex group, its
+        generators) per class of overlapping generators inside sigma.  For
+        sigma a union of generator supports the groups partition sigma, so
+        no factor is a bare simplex (cone)."""
+        groups = []
+        for g in self.gens:
+            if g & sigma != g:
+                continue
+            merged, members = g, [g]
             keep = []
-            for c in comps:
-                if c & merged:
-                    merged |= c
+            for mask, gens in groups:
+                if mask & merged:
+                    merged |= mask
+                    members += gens
                 else:
-                    keep.append(c)
-            keep.append(merged)
-            comps = keep
-        leftover = sigma & ~sum(comps) if comps else sigma
-        if leftover:
-            comps.append(leftover)  # vertices in no generator: cone part
-        return comps
+                    keep.append((mask, gens))
+            keep.append((merged, members))
+            groups = keep
+        return groups
 
     # -- homotopy-exact reductions ----------------------------------------
 
-    def _reduce(self, sigma):
-        """Apply restriction-exact reductions; returns (sigma, internal) or
-        the final answer ('jj', value) when reduction settles it."""
-        while True:
-            internal = self._internal(sigma)
+    @staticmethod
+    def _dominated(verts, gen_of):
+        """A vertex v of sigma dominated by another vertex u, or None.
+
+        v is dominated by u when every generator g through u, with u
+        swapped for v, contains a generator g2.  Such a g2 passes through v:
+        otherwise g2 lies in g minus u, a proper subset of g, which the
+        minimality of the generators rules out.  So only the generators
+        through v are scanned.  For the same reason u shares no generator
+        with v: for g through both, g2 would lie in g minus u.  (Were the
+        generators not minimal, the narrower scan would only find fewer
+        collapses, never a wrong one.)"""
+        for v in verts:
+            vbit = 1 << v
+            through_v = gen_of[v]
+            near = 0
+            for g in through_v:
+                near |= g
+            for u in verts:
+                if near >> u & 1:
+                    continue  # v itself or a vertex sharing a generator
+                ubit = 1 << u
+                if all(any(g2 & cand == g2 for g2 in through_v)
+                       for cand in ((g & ~ubit) | vbit for g in gen_of[u])):
+                    return v
+        return None
+
+    def _reduce(self, sigma, internal):
+        """Walk sigma down by homotopy-exact reductions; internal lists the
+        generators inside sigma.
+
+        Returns (path, state, payload).  path holds every set the walk
+        passed through that the memo does not know yet; the restrictions
+        to all of them have the homotopy type of the restriction to sigma,
+        so they share its answer.  The walk stops at the first memoized
+        set.  state is 'jj' with the answer as payload when the memo or
+        the reduction settles it, or 'core' with (core, internal) when no
+        reduction applies."""
+        memo = self._jj_memo
+        path = []
+        while sigma not in memo:
+            path.append(sigma)
             # vertices that are themselves generators never lie in a face
-            singletons = [g for g in internal if g & (g - 1) == 0]
-            if singletons:
-                drop = 0
-                for s in singletons:
-                    drop |= s
-                sigma &= ~drop
+            singles = 0
+            for g in internal:
+                if g & (g - 1) == 0:
+                    singles |= g
+            if singles:
+                sigma &= ~singles
+                internal = [g for g in internal if not g & singles]
                 continue
-            if sigma == 0:
-                return "jj", 0  # the complex {emptyset}: homology in degree -1
             if not internal:
-                return "jj", None  # full simplex: contractible
+                # {emptyset} has homology in degree -1; a full simplex none
+                return path, "jj", 0 if sigma == 0 else None
             covered = 0
             for g in internal:
                 covered |= g
             if sigma & ~covered:
-                return "jj", None  # apex vertex in no generator: cone
-            # strong collapse: v is dominated by u when every generator
-            # through u, with u swapped for v, already contains a generator
-            gen_of = {}
-            for v in _bits(sigma):
-                gen_of[v] = [g for g in internal if g >> v & 1]
-            dominated = None
+                return path, "jj", None  # apex vertex in no generator: cone
             verts = _bits(sigma)
-            for v in verts:
-                vbit = 1 << v
-                for u in verts:
-                    if u == v:
-                        continue
-                    ubit = 1 << u
-                    ok = True
-                    for g in gen_of[u]:
-                        candidate = (g & ~ubit) | vbit
-                        if not any(g2 & candidate == g2 for g2 in internal):
-                            ok = False
-                            break
-                    if ok:
-                        dominated = v
-                        break
-                if dominated is not None:
-                    break
-            if dominated is None:
-                return "core", (sigma, internal)
-            sigma &= ~(1 << dominated)
+            gen_of = {v: [g for g in internal if g >> v & 1] for v in verts}
+            v = self._dominated(verts, gen_of)
+            if v is None:
+                return path, "core", (sigma, internal)
+            # strong collapse: deleting a dominated vertex keeps the type
+            sigma &= ~(1 << v)
+            internal = [g for g in internal if not g >> v & 1]
+        return path, "jj", memo[sigma]
 
     def _max_face(self, sigma, internal):
         """Size of the largest subset of sigma containing no generator."""
@@ -239,17 +264,20 @@ class _RestrictedSweep:
                 out.append(mask)
         return out
 
-    def _jj_connected(self, sigma):
+    def _jj_connected(self, sigma, internal):
         """Max nonzero reduced-homology degree plus one of the restriction
-        to a generator-connected sigma; 0 for the {emptyset} complex, None
-        when all reduced homology vanishes."""
-        if sigma in self._jj_memo:
-            return self._jj_memo[sigma]
-        state, payload = self._reduce(sigma)
-        if state == "jj":
-            self._jj_memo[sigma] = payload
-            return payload
-        core, internal = payload
+        to a generator-connected sigma with generators internal; 0 for the
+        {emptyset} complex, None when all reduced homology vanishes.  The
+        answer is memoized under every set on the reduction path."""
+        path, state, payload = self._reduce(sigma, internal)
+        answer = payload if state == "jj" else self._core_jj(*payload)
+        for s in path:
+            self._jj_memo[s] = answer
+        return answer
+
+    def _core_jj(self, core, internal):
+        """_jj_connected for a core that no reduction shrinks, from the
+        ranks of the Alexander dual's boundary maps."""
         m = bin(core).count("1")
         # the dual complex lives on the vertices that can appear in a face
         dual_verts = [v for v in _bits(core)
@@ -307,7 +335,6 @@ class _RestrictedSweep:
             if betti > 0:
                 answer = h + 1
                 break
-        self._jj_memo[sigma] = answer
         return answer
 
     def regularity(self):
@@ -316,18 +343,13 @@ class _RestrictedSweep:
         for sigma in sigmas:
             if bin(sigma).count("1") - 1 <= best:
                 continue
-            comps = self._gen_components(sigma)
-            if any(self._internal(c) == [] for c in comps):
-                continue  # a pure-cone factor kills the join
             total = 0
-            dead = False
-            for c in comps:
-                jj = self._jj_connected(c)
+            for group, internal in self._gen_components(sigma):
+                jj = self._jj_connected(group, internal)
                 if jj is None:
-                    dead = True
-                    break
+                    break  # an acyclic join factor kills the join
                 total += jj
-            if not dead:
+            else:
                 best = max(best, total)
         return best
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import graphs as gr
 from .groebner import PolynomialContext, initial_ideal, lex_groebner
@@ -92,8 +93,13 @@ def bounds(g):
 _oracle_memo: dict = {}
 
 
+@lru_cache(maxsize=16)
 def _initial_ideal(sub):
-    """Squarefree initial ideal of the binomial edge ideal of sub."""
+    """Squarefree initial ideal of the binomial edge ideal of sub.
+
+    The few most recent labelled graphs are cached, so verification's
+    squarefree check reads the ideal the oracle has just built for the same
+    component instead of computing its Groebner basis again."""
     return initial_ideal(lex_groebner(sub), PolynomialContext(sub.n))
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from beireg import cli
+from beireg import graphs as gr
 from beireg import regularity as rg
 from beireg import verification as vf
 
@@ -137,6 +138,25 @@ class TestReg:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("gate", ["-5", "-1"])
+    def test_negative_oracle_gate_is_usage_error(self, capsys, tmp_path, gate):
+        c4 = tmp_path / "c4.edges"
+        c4.write_text("n 4\n0 1\n1 2\n2 3\n0 3\n")
+        code, out, err = run(capsys, "reg", str(c4), "--oracle-max-n", gate)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--oracle-max-n" in err
+
+    @pytest.mark.parametrize("edges", ['[[0, "1"]]', "[[0, 1.0]]",
+                                       "[[0, true]]", "[[null, 1]]"])
+    def test_non_integer_json_endpoint_is_usage_error(self, capsys, tmp_path,
+                                                      edges):
+        f = tmp_path / "bad.json"
+        f.write_text(f'{{"n": 3, "edges": {edges}}}')
+        code, out, err = run(capsys, "reg", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -154,6 +174,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--jobs" in err
+
     def test_fault_injection_detected(self):
         # harness self-test: a corrupted ground truth must surface as
         # counterexamples, not silent passes
@@ -163,6 +190,18 @@ class TestVerify:
         assert "bounds" in failing
         for name in failing:
             assert report.checks[name].counterexamples
+
+    def test_check_one_builds_each_basis_once(self, monkeypatch):
+        # the squarefree check reads the ideals the oracle has just built
+        built = []
+        real = rg.lex_groebner
+        monkeypatch.setattr(rg, "lex_groebner",
+                            lambda g: built.append(g) or real(g))
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        rg._initial_ideal.cache_clear()
+        g = gr.disjoint_union(gr.cycle_graph(4), gr.path_graph(3))
+        assert all(vf.check_one(g).values())
+        assert len(built) == 2
 
     def test_worker_pool_matches_serial(self):
         serial = vf.run_verification(max_n=4)

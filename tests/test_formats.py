@@ -55,6 +55,24 @@ class TestGraphJson:
         with pytest.raises(fm.ParseError):
             fm.parse_graph_json("{nope")
 
+    @pytest.mark.parametrize("edge", ['[0, "1"]', "[0, 1.0]", "[1.0, 0]",
+                                      "[0, true]", "[false, 1]", "[0, null]",
+                                      "[0, [1]]"])
+    def test_non_integer_endpoint(self, edge):
+        with pytest.raises(fm.ParseError) as err:
+            fm.parse_graph_json(f'{{"n": 3, "edges": [{edge}]}}')
+        assert "non-integer endpoint" in str(err.value)
+
+    @pytest.mark.parametrize("n", ["true", "2.0", '"3"'])
+    def test_non_integer_vertex_count(self, n):
+        with pytest.raises(fm.ParseError):
+            fm.parse_graph_json(f'{{"n": {n}, "edges": []}}')
+
+    @pytest.mark.parametrize("edges", ["5", "null", '{"0": 1}'])
+    def test_edges_not_a_list(self, edges):
+        with pytest.raises(fm.ParseError):
+            fm.parse_graph_json(f'{{"n": 3, "edges": {edges}}}')
+
     def test_format_sniffing(self, fixtures_dir):
         a = fm.load_graph(fixtures_dir / "wl_example.json")
         b = fm.load_graph(fixtures_dir / "wl_example.edges")

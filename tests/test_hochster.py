@@ -65,9 +65,9 @@ class TestHochsterRegularity:
     def test_matches_naive_on_random_ideals(self):
         rng = random.Random(41)
         for _ in range(60):
-            nverts = rng.randint(2, 7)
+            nverts = rng.randint(2, 8)
             gens = set()
-            for _ in range(rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 6)):
                 size = rng.randint(1, min(3, nverts))
                 gens.add(mask(*rng.sample(range(nverts), size)))
             ideal = MonomialIdeal.from_supports(nverts, gens)

@@ -48,6 +48,24 @@ class TestOracle:
     def test_c4(self):
         assert rg.oracle_reg(gr.cycle_graph(4)) == 2
 
+    # theorem-pinned values at up to 16 variables, each computed afresh
+    # rather than read from the oracle memo
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycles(self, monkeypatch, n):
+        # reg(S/J_{C_n}) = n - 2 (Zafar & Zahid, EJC 2013)
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        assert rg.oracle_reg(gr.cycle_graph(n)) == n - 2
+
+    def test_closed_band_graph(self, monkeypatch):
+        # i ~ j iff |i - j| <= 2 is a closed graph, so reg = ell (Ene &
+        # Zarojanu, Math. Nachr. 2015); 0-1-3-4-6-7 is a longest induced path
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        g = gr.Graph.from_edges(8, [(i, j) for i in range(8)
+                                    for j in range(i + 1, min(i + 3, 8))])
+        assert gr.ell(g) == 5
+        assert rg.oracle_reg(g) == 5
+
     def test_gate(self):
         with pytest.raises(rg.OracleGateError):
             rg.oracle_reg(gr.path_graph(9))
