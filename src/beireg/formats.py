@@ -2,10 +2,10 @@
 
 Graph text format: first line "n <count>", then one "u v" pair per line
 (0-based, whitespace separated).  Graph JSON:
-{"n": int, "edges": [[u, v], ...], "labels": [...]?}.  Both parsers reject
-self-loops and duplicate edges.  Family JSON carries interval endpoints in
-half-units as integers; the path unions are implied by ell and never
-serialized.
+{"n": int, "edges": [[u, v], ...], "labels": [n strings]?}.  Both parsers
+reject self-loops and duplicate edges.  Family JSON carries interval
+endpoints in half-units as integers; the path unions are implied by ell and
+never serialized.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ def parse_graph_json(text):
     labels = data.get("labels")
     if not _is_int(n) or n < 0:
         raise ParseError("'n' must be a non-negative integer")
+    if "labels" in data and not (
+            isinstance(labels, list) and len(labels) == n
+            and all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"'labels' must be a list of {n} strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
     seen = set()
@@ -119,11 +123,11 @@ def graph_to_jsonable(g):
 
 def load_graph(path, fmt=None):
     """Read a graph file; fmt is 'edgelist', 'json', or None to pick by
-    leading character."""
+    leading character ('{' or '[' means JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "edgelist"
+        fmt = "json" if text.lstrip().startswith(("{", "[")) else "edgelist"
     if fmt == "json":
         return parse_graph_json(text)
     if fmt == "edgelist":

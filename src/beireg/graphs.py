@@ -3,17 +3,15 @@ bounds are built from.
 
 Vertices are integers 0..n-1.  All operations are pure functions of
 immutable inputs, so values can be shared freely between threads.  The
-exact algorithms (exhaustive longest-induced-path search, permutation
-canonical forms) are deliberate: every caller in this package works at
-desk scale (n <= 13), where exactness beats asymptotics.
+exact algorithms (exhaustive longest-induced-path search, canonical forms
+by branch-and-bound over ordered partitions) are deliberate: every caller
+in this package works at desk scale (n <= 13), where exactness beats
+asymptotics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -410,32 +408,59 @@ def is_cut_vertex(g, v):
 # ---------------------------------------------------------------------------
 # canonical forms and small-graph enumeration
 
-_PERMS: dict[int, np.ndarray] = {}
-_TRIU: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 CANONICAL_MAX_N = 8
 ENUMERATION_MAX_N = 7
 
 
 def canonical_form(g):
-    """Canonical byte string by minimizing the adjacency bit string over all
-    vertex permutations; equal strings iff isomorphic.  Gated at n <= 8."""
+    """Canonical byte string: bytes([n]) plus the lexicographically least
+    row-major upper-triangle adjacency bit string over all vertex orderings,
+    packed MSB-first with zero padding; equal strings iff isomorphic.
+
+    Exact branch-and-bound over ordered partitions (the refinement search
+    of McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
+    2014, without automorphism pruning).  The unplaced vertices form an
+    ordered list of cells: the least string places every vertex of a cell
+    before any of the next.  Position k takes a vertex v of the first cell;
+    row k is least when each cell lists v's non-neighbours before its
+    neighbours, so that split fixes row k's bits and refines the cells.
+    Only the candidates with the least row survive, and survivors with the
+    same partition have the same least future, so they are kept once.  The
+    result is the brute-force minimum over all n! orderings, but the search
+    is still exponential in the worst case, so it stays gated at n <= 8."""
     n = g.n
     if n > CANONICAL_MAX_N:
         raise ValueError(f"canonical_form is limited to n <= {CANONICAL_MAX_N}")
-    if n <= 1:
-        return bytes([n])
-    if n not in _PERMS:
-        _PERMS[n] = np.array(list(permutations(range(n))), dtype=np.intp)
-        _TRIU[n] = np.triu_indices(n, 1)
-    perms = _PERMS[n]
-    a = np.zeros((n, n), dtype=np.uint8)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1
-    b = a[perms[:, :, None], perms[:, None, :]]
-    iu, ju = _TRIU[n]
-    packed = np.packbits(b[:, iu, ju], axis=1)
-    return bytes([n]) + min(map(bytes, packed))
+    nb = g.neighbor_masks()
+    code = 0
+    frontier = {((1 << n) - 1,)}
+    for k in range(n - 1):
+        best, survivors = None, set()
+        for head, *tail in frontier:
+            rest = head
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                adj = nb[bit.bit_length() - 1]
+                row, cells = 0, []
+                for cell in (head ^ bit, *tail):
+                    zeros, ones = cell & ~adj, cell & adj
+                    if zeros:
+                        row <<= zeros.bit_count()
+                        cells.append(zeros)
+                    if ones:
+                        width = ones.bit_count()
+                        row = (row << width) | ((1 << width) - 1)
+                        cells.append(ones)
+                if best is None or row < best:
+                    best, survivors = row, {tuple(cells)}
+                elif row == best:
+                    survivors.add(tuple(cells))
+        code = (code << (n - 1 - k)) | best
+        frontier = survivors
+    bits = n * (n - 1) // 2
+    size = (bits + 7) // 8
+    return bytes([n]) + (code << (8 * size - bits)).to_bytes(size, "big")
 
 
 _ENUM_CACHE: dict[int, list[Graph]] = {}

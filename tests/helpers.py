@@ -5,7 +5,7 @@ Fraction arithmetic, sharing no code with the implementations under test.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,20 @@ def brute_is_chordal(g):
             if len(seen) == k:
                 return False
     return True
+
+
+def brute_canonical_form(g):
+    """bytes([n]) plus the least row-major upper-triangle adjacency bit
+    string over all n! vertex orderings, packed MSB-first with zero
+    padding."""
+    n = g.n
+    pairs = list(combinations(range(n), 2))
+    a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+    best = min(tuple(a[p[i]][p[j]] for i, j in pairs)
+               for p in permutations(range(n)))
+    best += (0,) * (-len(best) % 8)
+    return bytes([n]) + bytes(
+        int("".join(map(str, best[k:k + 8])), 2) for k in range(0, len(best), 8))
 
 
 # ---------------------------------------------------------------------------

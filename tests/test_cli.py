@@ -157,6 +157,22 @@ class TestReg:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("labels", ["5", "[1, 2, 3]", '"abc"', '["a", "b"]'])
+    def test_bad_json_labels_are_usage_error(self, capsys, tmp_path, labels):
+        f = tmp_path / "bad.json"
+        f.write_text(f'{{"n": 3, "edges": [[0, 1]], "labels": {labels}}}')
+        code, out, err = run(capsys, "reg", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'labels' must be a list of 3 strings" in err
+
+    def test_top_level_json_array_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "edges.txt"
+        f.write_text("[[0, 1]]\n")
+        code, out, err = run(capsys, "reg", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: graph JSON needs an object with 'n' and 'edges'\n"
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):

@@ -73,10 +73,25 @@ class TestGraphJson:
         with pytest.raises(fm.ParseError):
             fm.parse_graph_json(f'{{"n": 3, "edges": {edges}}}')
 
+    @pytest.mark.parametrize("labels", ["5", "[1, 2, 3]", '"abc"', '["a", "b"]',
+                                        '["a", "b", "c", "d"]', "null",
+                                        '{"0": "a"}', '["a", null, "c"]'])
+    def test_labels_not_n_strings(self, labels):
+        with pytest.raises(fm.ParseError) as err:
+            fm.parse_graph_json(f'{{"n": 3, "edges": [[0, 1]], "labels": {labels}}}')
+        assert "'labels' must be a list of 3 strings" in str(err.value)
+
     def test_format_sniffing(self, fixtures_dir):
         a = fm.load_graph(fixtures_dir / "wl_example.json")
         b = fm.load_graph(fixtures_dir / "wl_example.edges")
         assert a.edges() == b.edges()
+
+    def test_top_level_array_sniffed_as_json(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("  [[0, 1]]\n")
+        with pytest.raises(fm.ParseError) as err:
+            fm.load_graph(f)
+        assert "needs an object with 'n' and 'edges'" in str(err.value)
 
 
 class TestFamilyJson:

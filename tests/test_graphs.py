@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beireg
 from beireg import graphs as gr
 
-from helpers import brute_is_chordal, brute_longest_induced_path, brute_maximal_cliques
+from helpers import (brute_canonical_form, brute_is_chordal,
+                     brute_longest_induced_path, brute_maximal_cliques)
 
 
 def bowtie():
@@ -274,6 +280,36 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             gr.canonical_form(gr.empty_graph(9))
 
+    def test_brute_force_bytes_small_classes(self):
+        rng = random.Random(29)
+        for n in range(7):
+            for g in gr.enumerate_graphs(n):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = gr.relabel(g, perm)
+                    assert gr.canonical_form(h) == brute_canonical_form(h)
+
+    @pytest.mark.parametrize("n, count", [(7, 30), (8, 8)])
+    def test_brute_force_bytes_random(self, n, count):
+        rng = random.Random(31 + n)
+        for _ in range(count):
+            p = rng.random()
+            g = gr.Graph.from_edges(n, [(u, v) for u in range(n)
+                                        for v in range(u + 1, n) if rng.random() < p])
+            assert gr.canonical_form(g) == brute_canonical_form(g)
+
+    @pytest.mark.parametrize("g", [
+        gr.complete_graph(8),
+        gr.empty_graph(8),
+        gr.cycle_graph(8),
+        gr.Graph.from_edges(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                                if not u >> b & 1]),
+        gr.Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)]),
+    ], ids=["K8", "empty8", "C8", "Q3", "K44"])
+    def test_brute_force_bytes_symmetric(self, g):
+        assert gr.canonical_form(g) == brute_canonical_form(g)
+
 
 class TestEnumeration:
     def test_known_counts(self):
@@ -290,6 +326,25 @@ class TestEnumeration:
         first = [g.edges() for g in gr.enumerate_graphs(4)]
         second = [g.edges() for g in gr.enumerate_graphs(4)]
         assert first == second
+
+    def test_seven_vertices_match_graph_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+        expected = {gr.canonical_form(gr.Graph.from_edges(7, list(h.edges())))
+                    for h in atlas}
+        graphs = gr.enumerate_graphs(7)
+        assert len(graphs) == len(atlas) == 1044
+        assert {gr.canonical_form(g) for g in graphs} == expected
+        assert len(gr.enumerate_graphs(7, connected_only=True)) == 853
+        assert sum(nx.is_connected(h) for h in atlas) == 853
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(beireg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c",
+                    "import beireg, sys; assert 'numpy' not in sys.modules"],
+                   env=dict(os.environ, PYTHONPATH=path), check=True)
 
 
 class TestInvariants:
