@@ -58,9 +58,6 @@ def cmd_recognize(args):
                    "ell": result.ell,
                    "cliqueCount": result.clique_count}, args)
             return EXIT_NEGATIVE
-        problem = rec.validate_cl_certificate(g, result)
-        if problem is not None:
-            raise RuntimeError(f"certificate failed validation: {problem}")
         _emit(fm.cl_certificate_to_jsonable(result), args)
         return EXIT_OK
     if args.kind == "wl":
@@ -72,9 +69,6 @@ def cmd_recognize(args):
             _emit({"recognized": False, "ell": result.ell,
                    "n": result.n, "omega": result.omega}, args)
             return EXIT_NEGATIVE
-        problem = rec.validate_wl_decomposition(g, result)
-        if problem is not None:
-            raise RuntimeError(f"decomposition failed validation: {problem}")
         _emit(fm.wl_to_jsonable(result), args)
         return EXIT_OK
     # sig

@@ -12,100 +12,120 @@ reductions keep the linear algebra small:
   * strong collapses: a vertex whose deletion is forced by another vertex
     (every face through v extends by u) can be removed without changing
     the homotopy type.  The generators are inclusion-minimal, so the test
-    for v only scans the generators through v;
+    for v only scans the generators through v, and one bitset of the
+    generators they cover settles every candidate u at once;
   * Alexander duality: homology in degree h of the restriction equals
     homology in degree |sigma| - h - 3 of the complement complex, so the
     top-degree probes only ever build small boundary matrices.
 
+The bookkeeping is done on generator indices.  Each sweep indexes the
+generators once: through[v] is the int bitset of the generators through
+vertex v, and one more bitset marks the singleton generators.  The
+generators inside sigma are all of them with through[v] cleared for every
+v outside sigma; a join factor grows by flood fill over these bitsets; a
+reduction drops singletons and collapsed vertices by masking.  A
+generator bitset becomes a list of vertex masks only where a vertex is
+scanned for domination or a core's homology is built, and a per-sweep
+dict keeps each such list.
+
 The answer for a set depends only on the homotopy type of its restriction,
 and every set a reduction passes through keeps that type.  So one sweep
 memoizes the answer under every set on each reduction path, and a later
-reduction stops at the first set already seen.
+reduction stops at the first set already seen.  A set of the sweep that is
+already in the memo needs no join splitting either: by the Kuenneth
+formula for joins, the answer for a join is the sum of its factors'.
 
-All ranks are computed by exact integer elimination, so the result is the
-characteristic-zero value with no floating point anywhere.
+All ranks are computed by exact integer elimination that takes the
+columns in order and pivots on short rows with unit entries, so the result
+is the characteristic-zero value with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .groebner import MonomialIdeal
 
 HOCHSTER_MAX_VERTICES = 16
 
 
+def _byte_bits(offset):
+    """Entry b: the set bit positions of the byte b, plus offset."""
+    table = [()]
+    for v in range(offset, offset + 8):
+        table += [bits + (v,) for bits in table]
+    return table
+
+
+_BYTE_BITS, _HIGH_BYTE_BITS = _byte_bits(0), _byte_bits(8)
+
+
 def _bits(mask):
+    if mask < 0x10000:
+        return _BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8]
     out = []
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.append(v)
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
     return out
 
 
 def _rank(columns):
     """Rank over the rationals of an integer matrix given as sparse columns
-    (dicts row -> value).  Fraction-free elimination with unit-pivot
-    preference and row content normalization."""
-    from math import gcd
+    (dicts row -> value).
 
+    Fraction-free elimination that takes the columns in order.  The pivot
+    of a column is the shortest remaining row with a unit entry there, or
+    else the shortest row with any entry there; every other row with an
+    entry in the column is cleared by an integer combination with the
+    pivot row and, when the pivot is not a unit, divided by its content.
+    The pivot row then leaves the matrix.  It has no entry in an earlier
+    column, so no row gains one there, and each column is visited once."""
     rows: dict[int, dict[int, int]] = {}
-    for ci, col in enumerate(columns):
+    holders: list[set[int]] = [set() for _ in columns]
+    for c, col in enumerate(columns):
         for r, val in col.items():
             if val:
-                rows.setdefault(r, {})[ci] = val
-    col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
+                rows.setdefault(r, {})[c] = val
+                holders[c].add(r)
     rank = 0
-    while rows:
-        # pivot: prefer magnitude-1 entries, then minimal fill estimate
-        best = None
-        for r, row in rows.items():
-            rlen = len(row)
-            for c, val in row.items():
-                unit = 0 if abs(val) == 1 else 1
-                score = (unit, (rlen - 1) * (len(col_rows[c]) - 1), r, c)
-                if best is None or score < best[0]:
-                    best = (score, r, c, val)
-        _, pr, pc, pval = best
+    for c, here in enumerate(holders):
+        if not here:
+            continue
+        pr = min(here, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r])))
         prow = rows.pop(pr)
-        for c in prow:
-            col_rows[c].discard(pr)
+        for cc in prow:
+            holders[cc].discard(pr)
         rank += 1
-        targets = list(col_rows.get(pc, ()))
-        for r in targets:
+        pval = prow[c]
+        unit = abs(pval) == 1
+        for r in list(here):
             row = rows[r]
-            val = row[pc]
-            if abs(pval) == 1:
+            val = row[c]
+            if unit:
                 factor = val * pval
-                for c, pv in prow.items():
-                    nv = row.get(c, 0) - factor * pv
-                    if nv:
-                        row[c] = nv
-                        col_rows.setdefault(c, set()).add(r)
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
             else:
-                g = gcd(abs(pval), abs(val))
-                mr, mp = pval // g, val // g
-                for c in set(row) | set(prow):
-                    nv = mr * row.get(c, 0) - mp * prow.get(c, 0)
-                    if nv:
-                        row[c] = nv
-                        col_rows.setdefault(c, set()).add(r)
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
+                g = gcd(pval, val)
+                factor, scale = val // g, pval // g
+                for cc in row:
+                    row[cc] *= scale
+            for cc, pv in prow.items():
+                nv = row.get(cc, 0) - factor * pv
+                if nv:
+                    row[cc] = nv
+                    holders[cc].add(r)
+                elif cc in row:
+                    del row[cc]
+                    holders[cc].discard(r)
+            if not unit:
                 content = 0
                 for v in row.values():
-                    content = gcd(content, abs(v))
+                    content = gcd(content, v)
                 if content > 1:
-                    for c in row:
-                        row[c] //= content
+                    for cc in row:
+                        row[cc] //= content
             if not row:
                 del rows[r]
     return rank
@@ -113,54 +133,82 @@ def _rank(columns):
 
 class _RestrictedSweep:
     """Sweep machinery for one squarefree ideal, given by its
-    inclusion-minimal generators."""
+    inclusion-minimal generators.  A set of generators is an int bitset
+    over their indices in gens."""
 
     def __init__(self, gens):
         self.gens = gens
+        self.through = [0] * max(gens).bit_length()
+        self.singles = 0
+        for i, g in enumerate(gens):
+            for v in _bits(g):
+                self.through[v] |= 1 << i
+            if g & (g - 1) == 0:
+                self.singles |= 1 << i
         self._jj_memo: dict[int, int | None] = {}
+        self._listed: dict[int, tuple[list[int], int]] = {}
+
+    def _masks(self, gen_set):
+        """(vertex masks, their union) of a generator bitset, kept for the
+        rest of the sweep."""
+        hit = self._listed.get(gen_set)
+        if hit is None:
+            masks = [self.gens[i] for i in _bits(gen_set)]
+            union = 0
+            for g in masks:
+                union |= g
+            hit = self._listed[gen_set] = (masks, union)
+        return hit
+
+    def _without(self, gen_set, verts):
+        """The generators of gen_set that miss every vertex of verts."""
+        through = self.through
+        while verts:
+            low = verts & -verts
+            verts ^= low
+            gen_set &= ~through[low.bit_length() - 1]
+        return gen_set
 
     # -- closure of generator-support unions ------------------------------
 
     def closure(self):
+        """Every union of generator supports."""
         seen = set()
-        frontier = list(self.gens)
-        while frontier:
-            s = frontier.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            for g in self.gens:
-                u = s | g
-                if u != s and u not in seen:
-                    frontier.append(u)
+        for g in self.gens:
+            seen |= {s | g for s in seen}
+            seen.add(g)
         return seen
 
-    def _gen_components(self, sigma):
-        """Join factors of the restriction to sigma: (vertex group, its
-        generators) per class of overlapping generators inside sigma.  For
+    def _gen_components(self, sigma, internal):
+        """Join factors of the restriction to sigma, whose generators are
+        the bitset internal: (vertex group, its generator bitset) per class
+        of generators linked by shared vertices, grown from a vertex by
+        flood fill over the generators through each vertex reached.  For
         sigma a union of generator supports the groups partition sigma, so
         no factor is a bare simplex (cone)."""
+        through = self.through
         groups = []
-        for g in self.gens:
-            if g & sigma != g:
-                continue
-            merged, members = g, [g]
-            keep = []
-            for mask, gens in groups:
-                if mask & merged:
-                    merged |= mask
-                    members += gens
-                else:
-                    keep.append((mask, gens))
-            keep.append((merged, members))
-            groups = keep
+        while sigma:
+            group = fresh = sigma & -sigma
+            comp = 0
+            while fresh:
+                reach = 0
+                for v in _bits(fresh):
+                    here = through[v] & internal
+                    comp |= here
+                    reach |= self._masks(here)[1]
+                fresh = reach & ~group
+                group |= fresh
+            groups.append((group, comp))
+            sigma &= ~group
         return groups
 
     # -- homotopy-exact reductions ----------------------------------------
 
-    @staticmethod
-    def _dominated(verts, gen_of):
-        """A vertex v of sigma dominated by another vertex u, or None.
+    def _dominated(self, sigma, verts, internal):
+        """A vertex v of sigma (whose vertices are verts) dominated by
+        another vertex u, or None; internal is the generator bitset of the
+        restriction to sigma.
 
         v is dominated by u when every generator g through u, with u
         swapped for v, contains a generator g2.  Such a g2 passes through v:
@@ -169,25 +217,30 @@ class _RestrictedSweep:
         through v are scanned.  For the same reason u shares no generator
         with v: for g through both, g2 would lie in g minus u.  (Were the
         generators not minimal, the narrower scan would only find fewer
-        collapses, never a wrong one.)"""
+        collapses, never a wrong one.)  For such a u, g with u swapped for
+        v contains g2 exactly when g contains g2 minus v, so the test for
+        all u at once is one bitset: covers, the generators that contain
+        g2 minus v for some g2 through v."""
+        through = self.through
         for v in verts:
-            vbit = 1 << v
-            through_v = gen_of[v]
-            near = 0
-            for g in through_v:
-                near |= g
-            for u in verts:
-                if near >> u & 1:
-                    continue  # v itself or a vertex sharing a generator
-                ubit = 1 << u
-                if all(any(g2 & cand == g2 for g2 in through_v)
-                       for cand in ((g & ~ubit) | vbit for g in gen_of[u])):
+            through_v, near = self._masks(through[v] & internal)
+            others = sigma & ~near  # the candidates u
+            if not others:
+                continue
+            covers = 0
+            for g2 in through_v:
+                containing = internal
+                for w in _bits(g2 & ~(1 << v)):
+                    containing &= through[w]
+                covers |= containing
+            for u in _bits(others):
+                if not through[u] & internal & ~covers:
                     return v
         return None
 
     def _reduce(self, sigma, internal):
-        """Walk sigma down by homotopy-exact reductions; internal lists the
-        generators inside sigma.
+        """Walk sigma down by homotopy-exact reductions; internal is the
+        bitset of the generators inside sigma.
 
         Returns (path, state, payload).  path holds every set the walk
         passed through that the memo does not know yet; the restrictions
@@ -197,34 +250,30 @@ class _RestrictedSweep:
         the reduction settles it, or 'core' with (core, internal) when no
         reduction applies."""
         memo = self._jj_memo
+        through = self.through
         path = []
         while sigma not in memo:
             path.append(sigma)
             # vertices that are themselves generators never lie in a face
-            singles = 0
-            for g in internal:
-                if g & (g - 1) == 0:
-                    singles |= g
+            singles = internal & self.singles
             if singles:
-                sigma &= ~singles
-                internal = [g for g in internal if not g & singles]
+                dropped = self._masks(singles)[1]
+                sigma &= ~dropped
+                internal = self._without(internal, dropped)
                 continue
             if not internal:
                 # {emptyset} has homology in degree -1; a full simplex none
                 return path, "jj", 0 if sigma == 0 else None
-            covered = 0
-            for g in internal:
-                covered |= g
-            if sigma & ~covered:
-                return path, "jj", None  # apex vertex in no generator: cone
             verts = _bits(sigma)
-            gen_of = {v: [g for g in internal if g >> v & 1] for v in verts}
-            v = self._dominated(verts, gen_of)
+            for v in verts:
+                if not through[v] & internal:
+                    return path, "jj", None  # apex vertex in no generator: cone
+            v = self._dominated(sigma, verts, internal)
             if v is None:
                 return path, "core", (sigma, internal)
             # strong collapse: deleting a dominated vertex keeps the type
             sigma &= ~(1 << v)
-            internal = [g for g in internal if not g >> v & 1]
+            internal &= ~through[v]
         return path, "jj", memo[sigma]
 
     def _max_face(self, sigma, internal):
@@ -278,7 +327,8 @@ class _RestrictedSweep:
     def _core_jj(self, core, internal):
         """_jj_connected for a core that no reduction shrinks, from the
         ranks of the Alexander dual's boundary maps."""
-        m = bin(core).count("1")
+        internal = self._masks(internal)[0]
+        m = core.bit_count()
         # the dual complex lives on the vertices that can appear in a face
         dual_verts = [v for v in _bits(core)
                       if any(g & (1 << v) == 0 for g in internal)]
@@ -339,12 +389,20 @@ class _RestrictedSweep:
 
     def regularity(self):
         best = 0
-        sigmas = sorted(self.closure(), key=lambda s: (-bin(s).count("1"), s))
+        everything = (1 << len(self.gens)) - 1
+        span = self._masks(everything)[1]
+        sigmas = sorted(self.closure(), key=lambda s: (-s.bit_count(), s))
         for sigma in sigmas:
-            if bin(sigma).count("1") - 1 <= best:
+            if sigma.bit_count() - 1 <= best:
+                break  # the sets come largest first
+            if sigma in self._jj_memo:  # the whole join's answer
+                total = self._jj_memo[sigma]
+                if total is not None:
+                    best = max(best, total)
                 continue
             total = 0
-            for group, internal in self._gen_components(sigma):
+            inside = self._without(everything, span & ~sigma)
+            for group, internal in self._gen_components(sigma, inside):
                 jj = self._jj_connected(group, internal)
                 if jj is None:
                     break  # an acyclic join factor kills the join

@@ -61,10 +61,6 @@ def contains_integer(u: IntervalUnion, j: int) -> bool:
     return any(a <= x <= b for a, b in u.segments)
 
 
-def contains_half_unit(u: IntervalUnion, x: int) -> bool:
-    return any(a <= x <= b for a, b in u.segments)
-
-
 def common_point(unions) -> int | None:
     """Least common half-unit point of all unions, or None if the total
     intersection is empty."""

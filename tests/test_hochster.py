@@ -3,11 +3,12 @@ import random
 import pytest
 
 from beireg import graphs as gr
+from beireg import hochster
 from beireg.groebner import (MonomialIdeal, PolynomialContext, initial_ideal,
                              lex_groebner)
-from beireg.hochster import hochster_regularity
+from beireg.hochster import _rank, hochster_regularity
 
-from helpers import naive_monomial_regularity
+from helpers import _fraction_rank, naive_monomial_regularity
 
 
 def ideal_of(g):
@@ -76,9 +77,56 @@ class TestHochsterRegularity:
             expected = naive_monomial_regularity(ideal.supports(), nverts)
             assert hochster_regularity(ideal) == expected, ideal.supports()
 
+    def test_generator_leaving_sigma_by_one_vertex(self):
+        # the value 3 comes from sigma = {0,1,2,4,5} alone; the generator
+        # {0,1,3} leaves it by vertex 3 only, and must not count as inside
+        supports = [(0, 1, 2), (0, 1, 3), (2, 4, 5)]
+        ideal = MonomialIdeal.from_supports(6, [mask(*s) for s in supports])
+        assert naive_monomial_regularity(supports, 6) == 3
+        assert hochster_regularity(ideal) == 3
+
     def test_disjoint_pairs_add(self):
         # k disjoint two-point complexes join to regularity k
         for k in range(1, 5):
             gens = [mask(2 * i, 2 * i + 1) for i in range(k)]
             ideal = MonomialIdeal.from_supports(2 * k, gens)
             assert hochster_regularity(ideal) == k
+
+
+def _random_column(rng, nrows, values):
+    return {r: rng.choice(values) for r in range(nrows) if rng.random() < 0.4}
+
+
+def test_rank_matches_fraction_rank():
+    """_rank against dense Fraction elimination on sparse integer matrices
+    with entries in +-1..+-4; each matrix also has an empty column, a
+    duplicate column, an integer combination of two columns and a column
+    with no unit entry, which is put first in half the draws so that a
+    non-unit pivot is certain to be taken."""
+    rng = random.Random(53)
+    small = [1, -1, 2, -2, 3, -3, 4, -4]
+    no_unit = [2, -2, 3, -3, 4, -4]
+    for trial in range(300):
+        nrows = rng.randint(1, 9)
+        cols = [_random_column(rng, nrows, small)
+                for _ in range(rng.randint(1, 7))]
+        a, b = rng.choice(cols), rng.choice(cols)
+        ka, kb = rng.choice(small), rng.choice(small)
+        combo = {r: ka * a.get(r, 0) + kb * b.get(r, 0) for r in range(nrows)}
+        cols += [{}, dict(rng.choice(cols)),
+                 {r: v for r, v in combo.items() if v}]
+        rng.shuffle(cols)
+        bare = _random_column(rng, nrows, no_unit) or {0: 2}
+        cols.insert(0 if trial % 2 else rng.randint(0, len(cols)), bare)
+        dense = [[col.get(r, 0) for col in cols] for r in range(nrows)]
+        assert _rank([dict(col) for col in cols]) == _fraction_rank(dense), cols
+
+
+def test_rank_takes_unit_pivots(monkeypatch):
+    """Where every column keeps a unit entry the elimination needs no gcd:
+    row 0 is first but is passed over for the unit rows 1 and 2."""
+    def no_gcd(*args):
+        raise AssertionError("non-unit pivot taken")
+
+    monkeypatch.setattr(hochster, "gcd", no_gcd)
+    assert _rank([{0: 2, 1: 1}, {0: 3, 2: 1}]) == 2

@@ -66,6 +66,15 @@ class TestOracle:
         assert gr.ell(g) == 5
         assert rg.oracle_reg(g) == 5
 
+    def test_rank_tail_class(self, monkeypatch):
+        # the slowest class of perfbench/golden.json pool_n8 (id 21), about
+        # half of it in hochster._rank; the structural solver gives 5 too
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        g = gr.Graph.from_edges(8, [(0, 2), (0, 4), (1, 4), (1, 5), (1, 7),
+                                    (2, 5), (3, 4), (3, 6), (3, 7), (4, 5),
+                                    (5, 6), (6, 7)])
+        assert rg.oracle_reg(g) == 5
+
     def test_gate(self):
         with pytest.raises(rg.OracleGateError):
             rg.oracle_reg(gr.path_graph(9))
