@@ -216,7 +216,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (fm.ParseError, FileNotFoundError, rg.OracleGateError) as exc:
+    except (fm.ParseError, OSError, rg.OracleGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

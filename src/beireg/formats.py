@@ -37,7 +37,7 @@ def parse_graph_text(text):
     if header is None:
         raise ParseError("line 1: missing 'n <count>' header")
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
         raise ParseError(f"line {line_no}: expected 'n <count>', got {header!r}")
     n = int(parts[1])
     edges = []
@@ -125,7 +125,10 @@ def load_graph(path, fmt=None):
     """Read a graph file; fmt is 'edgelist', 'json', or None to pick by
     leading character ('{' or '[' means JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: input is not UTF-8 text")
     if fmt is None:
         fmt = "json" if text.lstrip().startswith(("{", "[")) else "edgelist"
     if fmt == "json":

@@ -7,6 +7,11 @@ exact algorithms (exhaustive longest-induced-path search, canonical forms
 by branch-and-bound over ordered partitions) are deliberate: every caller
 in this package works at desk scale (n <= 13), where exactness beats
 asymptotics.
+
+The invariants that add up over components (ell, the clique bounds, the
+regularity itself) are sums over `component_graphs`, the one per-component
+view.  A connected graph is its own only component and is returned as
+itself, not rebuilt.
 """
 
 from __future__ import annotations
@@ -86,27 +91,6 @@ class GraphInvariants:
     component_count: int
     chordal: bool
     connected: bool
-
-
-@dataclass(frozen=True)
-class Split:
-    """The two parts of a graph split at a cut vertex v; parts cover the
-    vertex set of v's component and intersect exactly in {v}."""
-
-    v: int
-    parts: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @classmethod
-    def at(cls, g, v):
-        """The split at a cut vertex with exactly two parts; raises when v
-        is not a cut vertex or has more parts."""
-        parts = splits_at(g, v)
-        if len(parts) != 2:
-            raise ValueError(f"vertex {v} has {len(parts)} split parts, not 2")
-        split = cls(v=v, parts=(parts[0], parts[1]))
-        if set(parts[0]) & set(parts[1]) != {v}:
-            raise ValueError("split parts must intersect exactly in the cut vertex")
-        return split
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +177,27 @@ def induced_subgraph(g, vertices):
     """Induced subgraph on the given vertices.
 
     Returns (subgraph, old_ids) where old_ids[new] is the original vertex id;
-    vertices keep their relative order after sorting.
+    vertices keep their relative order after sorting.  On all of g's
+    vertices the subgraph is g itself, labels included, and is not rebuilt.
     """
     old_ids = tuple(sorted(set(vertices)))
     for v in old_ids:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+    if len(old_ids) == g.n:
+        return g, old_ids
     index = {v: i for i, v in enumerate(old_ids)}
     edges = [(index[u], index[v]) for u, v in g.edges()
              if u in index and v in index]
     labels = tuple(g.labels[v] for v in old_ids) if g.labels is not None else None
     return Graph.from_edges(len(old_ids), edges, labels), old_ids
+
+
+def component_graphs(g):
+    """The per-component view: the (induced subgraph, old_ids) pair of each
+    component, in components() order.  A connected graph's only pair is
+    (g, (0, ..., n-1)), with g itself as the subgraph."""
+    return [induced_subgraph(g, comp) for comp in components(g)]
 
 
 def delete_vertex(g, v):
@@ -255,11 +249,7 @@ def longest_induced_path(g):
 def ell(g):
     """Sum of longest induced path lengths over connected components;
     an isolated vertex contributes 0."""
-    total = 0
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        total += longest_induced_path(sub)[0]
-    return total
+    return sum(longest_induced_path(sub)[0] for sub, _ in component_graphs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +298,6 @@ def maximal_cliques(g):
         cliques.append(tuple(clique))
     cliques.sort()
     return cliques
-
-
-def clique_count(g):
-    return len(maximal_cliques(g))
 
 
 def clique_number(g):
@@ -395,14 +381,6 @@ def splits_at(g, v):
     parts = [tuple(sorted([old_ids[u] for u in comp] + [v])) for comp in comps]
     parts.sort()
     return parts
-
-
-def is_cut_vertex(g, v):
-    if g.degree(v) < 2:
-        return False
-    own_comp = next(c for c in components(g) if v in c)
-    rest, _ = induced_subgraph(g, [u for u in own_comp if u != v])
-    return len(components(rest)) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +475,11 @@ def enumerate_graphs(n, connected_only=False):
 def invariants(g):
     """Bundle of the invariants used by the bound theorems."""
     comps = components(g)
+    cliques = maximal_cliques(g)
     return GraphInvariants(
         ell=ell(g),
-        clique_count=len(maximal_cliques(g)),
-        omega=clique_number(g) if g.n else 0,
+        clique_count=len(cliques),
+        omega=max(map(len, cliques), default=0),
         component_count=len(comps),
         chordal=is_chordal(g),
         connected=len(comps) <= 1,

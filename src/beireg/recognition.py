@@ -101,8 +101,7 @@ def recognize_cl(g):
     validate_cl_certificate.
     """
     certs = []
-    for idx, comp in enumerate(gr.components(g)):
-        sub, old_ids = gr.induced_subgraph(g, comp)
+    for idx, (sub, old_ids) in enumerate(gr.component_graphs(g)):
         comp_ell = gr.longest_induced_path(sub)[0]
         comp_c = len(gr.maximal_cliques(sub))
         if comp_ell != comp_c:
@@ -123,10 +122,10 @@ def validate_cl_certificate(g, cert) -> str | None:
     component's maximal cliques are exactly the consecutive-pair cliques of
     the family.
     """
-    comps = gr.components(g)
-    if len(cert.components) != len(comps):
-        return f"certificate has {len(cert.components)} components, graph has {len(comps)}"
-    for idx, (comp, part) in enumerate(zip(comps, cert.components)):
+    view = gr.component_graphs(g)
+    if len(cert.components) != len(view):
+        return f"certificate has {len(cert.components)} components, graph has {len(view)}"
+    for idx, ((sub, old_ids), part) in enumerate(zip(view, cert.components)):
         fam = part.family
         violation = iv.validate_cl_family(fam)
         if violation is not None:
@@ -135,13 +134,12 @@ def validate_cl_certificate(g, cert) -> str | None:
         if sorted(part.bijection) != sorted(names):
             return f"component {idx}: bijection keys do not match family members"
         images = [part.bijection[name] for name in names]
-        if len(set(images)) != len(images) or set(images) != set(comp):
+        if len(set(images)) != len(images) or set(images) != set(old_ids):
             return f"component {idx}: bijection is not onto the component"
         graph_f, _ = iv.intersection_graph(fam)
         expected = {(min(part.bijection[names[p]], part.bijection[names[q]]),
                      max(part.bijection[names[p]], part.bijection[names[q]]))
                     for p, q in graph_f.edges()}
-        sub, old_ids = gr.induced_subgraph(g, comp)
         actual = {(min(old_ids[u], old_ids[v]), max(old_ids[u], old_ids[v]))
                   for u, v in sub.edges()}
         if expected != actual:

@@ -72,17 +72,16 @@ def _component_upper(sub):
     vertex."""
     if sub.n <= 1:
         return 0
-    return min(len(gr.maximal_cliques(sub)), sub.n - 1,
-               sub.n - gr.clique_number(sub) + 1)
+    cliques = gr.maximal_cliques(sub)
+    return min(len(cliques), sub.n - 1, sub.n - max(map(len, cliques)) + 1)
 
 
 def bounds(g):
     """(lo, hi) with lo the induced-path lower bound and hi the sum over
     components of the best combinatorial upper bound."""
-    lo = gr.ell(g)
-    hi = 0
-    for comp in gr.components(g):
-        sub, _ = gr.induced_subgraph(g, comp)
+    lo = hi = 0
+    for sub, _ in gr.component_graphs(g):
+        lo += gr.longest_induced_path(sub)[0]
         hi += _component_upper(sub)
     return lo, hi
 
@@ -123,22 +122,14 @@ def oracle_reg(g, max_n=None):
     gate = oracle_gate_from_env() if max_n is None else max_n
     if g.n > gate:
         raise OracleGateError(f"oracle gate exceeded: n={g.n} > {gate}")
-    total = 0
-    for comp in gr.components(g):
-        sub, _ = gr.induced_subgraph(g, comp)
-        if sub.n >= 2:
-            total += _oracle_connected(sub)
-    return total
+    return sum(_oracle_connected(sub)
+               for sub, _ in gr.component_graphs(g) if sub.n >= 2)
 
 
 def initial_ideals_of(g):
     """Per-component squarefree initial ideals (verification hook)."""
-    out = []
-    for comp in gr.components(g):
-        sub, _ = gr.induced_subgraph(g, comp)
-        if sub.n >= 2:
-            out.append(_initial_ideal(sub))
-    return out
+    return [_initial_ideal(sub)
+            for sub, _ in gr.component_graphs(g) if sub.n >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +140,8 @@ def _is_complete(g):
 
 
 def _is_path(g):
-    if g.n == 1:
-        return True
-    if g.edge_count() != g.n - 1 or not gr.is_connected(g):
-        return False
-    degrees = sorted(g.degree(v) for v in range(g.n))
-    return degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])
+    """A connected graph is a path iff it is a tree of maximum degree 2."""
+    return g.edge_count() == g.n - 1 and all(len(nbrs) <= 2 for nbrs in g.adj)
 
 
 def _graph_key(g):
@@ -171,111 +158,100 @@ def _graph_key(g):
     return (g.n, tuple(g.edges()))
 
 
-def _solve(g, budget, memo, log):
+def _quiet(rule, detail):
+    """The note of a sub-solve: only the top-level call is traced."""
+
+
+def _solve(g, budget, memo, note):
     """Recursive (lo, hi) computation.  Gluing and base cases recurse
     freely; the elimination-inequality and deletion refinements spend one
     unit of budget per level.  memo maps (_graph_key(g), budget) to the
     interval and is keyed by the labelled graph, not by its isomorphism
-    class.  log collects (rule, detail) pairs on the top-level call only."""
+    class; this is the one place it is written.  note(rule, detail) records
+    each deduction; sub-solves get _quiet, so the trace covers the top-level
+    call only."""
     key = (_graph_key(g), budget)
-    if key in memo:
-        return memo[key]
+    if key not in memo:
+        memo[key] = _derive(g, budget, memo, note)
+    return memo[key]
 
-    comps = gr.components(g)
-    if len(comps) != 1:
+
+def _derive(g, budget, memo, note):
+    """The rules behind _solve, applied to a graph not yet in the memo."""
+    parts = gr.component_graphs(g)
+    if len(parts) != 1:
         lo = hi = 0
-        for comp in comps:
-            sub, _ = gr.induced_subgraph(g, comp)
-            clo, chi = _solve(sub, budget, memo, None)
+        for sub, _ in parts:
+            clo, chi = _solve(sub, budget, memo, _quiet)
             lo += clo
             hi += chi
-        if log is not None:
-            log.append(("component-additivity",
-                        f"{len(comps)} components, sum gives [{lo}, {hi}]"))
-        memo[key] = (lo, hi)
+        note("component-additivity",
+             f"{len(parts)} components, sum gives [{lo}, {hi}]")
         return lo, hi
 
     if g.edge_count() == 0:
-        result = (0, 0)
-        if log is not None:
-            log.append(("path-base", "single vertex"))
-        memo[key] = result
-        return result
+        note("path-base", "single vertex")
+        return 0, 0
     if _is_complete(g):
-        if log is not None:
-            log.append(("complete-base", f"K_{g.n}"))
-        memo[key] = (1, 1)
+        note("complete-base", f"K_{g.n}")
         return 1, 1
     if _is_path(g):
-        if log is not None:
-            log.append(("path-base", f"path of length {g.n - 1}"))
-        memo[key] = (g.n - 1, g.n - 1)
+        note("path-base", f"path of length {g.n - 1}")
         return g.n - 1, g.n - 1
 
     lo, hi = bounds(g)
     if lo == hi:
-        if log is not None:
-            log.append(("sandwich", f"bounds meet at {lo}"))
-        memo[key] = (lo, hi)
+        note("sandwich", f"bounds meet at {lo}")
         return lo, hi
 
     # gluing at the first cut vertex with exactly two splits, simplicial in
     # both; with three or more splits the vertex cannot be simplicial in any
     # grouped union, so the rule never applies through grouping
     for v in range(g.n):
-        if not gr.is_cut_vertex(g, v):
+        if g.degree(v) < 2:
             continue
         try:
-            split = gr.Split.at(g, v)
+            split = gr.splits_at(g, v)
         except ValueError:
             continue
-        subs = [gr.induced_subgraph(g, part)[0] for part in split.parts]
-        new_ids = [dict(zip(part, range(len(part)))) for part in split.parts]
-        if all(gr.is_simplicial(sub, ids[v])
-               for sub, ids in zip(subs, new_ids)):
-            (l1, h1) = _solve(subs[0], budget, memo, None)
-            (l2, h2) = _solve(subs[1], budget, memo, None)
+        if len(split) != 2:
+            continue
+        halves = [gr.induced_subgraph(g, part) for part in split]
+        if all(gr.is_simplicial(sub, old_ids.index(v)) for sub, old_ids in halves):
+            (l1, h1) = _solve(halves[0][0], budget, memo, _quiet)
+            (l2, h2) = _solve(halves[1][0], budget, memo, _quiet)
             lo = max(lo, l1 + l2)
             hi = min(hi, h1 + h2)
-            if log is not None:
-                log.append(("gluing",
-                            f"split at {v} gives [{l1 + l2}, {h1 + h2}]"))
+            note("gluing", f"split at {v} gives [{l1 + l2}, {h1 + h2}]")
             break
     if lo == hi:
-        if log is not None:
-            log.append(("sandwich", f"bounds meet at {lo}"))
-        memo[key] = (lo, hi)
+        note("sandwich", f"bounds meet at {lo}")
         return lo, hi
 
     if budget > 0:
+        minus = [gr.delete_vertex(g, v) for v in range(g.n)]
         for v in range(g.n):
             if gr.is_simplicial(g, v):
                 continue
-            minus = gr.delete_vertex(g, v)
             closed = gr.clique_closure(g, v)
-            closed_minus = gr.delete_vertex(closed, v)
-            h1 = _solve(minus, budget - 1, memo, None)[1]
-            h2 = _solve(closed, budget - 1, memo, None)[1]
-            h3 = _solve(closed_minus, budget - 1, memo, None)[1]
+            h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
+            h2 = _solve(closed, budget - 1, memo, _quiet)[1]
+            h3 = _solve(gr.delete_vertex(closed, v), budget - 1, memo, _quiet)[1]
             cap = max(h1, h2, h3 + 1)
             if cap < hi:
                 hi = cap
-                if log is not None:
-                    log.append(("split-inequality",
-                                f"vertex {v} caps the value at {cap}"))
+                note("split-inequality", f"vertex {v} caps the value at {cap}")
         for v in range(g.n):
-            floor = _solve(gr.delete_vertex(g, v), budget - 1, memo, None)[0]
+            floor = _solve(minus[v], budget - 1, memo, _quiet)[0]
             if floor > lo:
                 lo = floor
-                if log is not None:
-                    log.append(("deletion-lower-bound",
-                                f"deleting {v} raises the floor to {floor}"))
-        if log is not None and lo == hi:
-            log.append(("sandwich", f"refined bounds meet at {lo}"))
+                note("deletion-lower-bound",
+                     f"deleting {v} raises the floor to {floor}")
+        if lo == hi:
+            note("sandwich", f"refined bounds meet at {lo}")
 
     if lo > hi:
         raise RuntimeError(f"bound rules crossed: lo={lo} > hi={hi}")
-    memo[key] = (lo, hi)
     return lo, hi
 
 
@@ -283,8 +259,8 @@ def structural_reg(g, budget=DEFAULT_BUDGET):
     """Regularity by structural rules only; exact when the rules close the
     gap, otherwise an interval."""
     log = []
-    memo: dict = {}
-    lo, hi = _solve(g, budget, memo, log)
+    lo, hi = _solve(g, budget, {},
+                    lambda rule, detail: log.append((rule, detail)))
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 
 

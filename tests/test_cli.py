@@ -251,6 +251,20 @@ class TestUsage:
     def test_missing_file(self, capsys):
         assert cli.main(["invariants", "/nonexistent/file"]) == 1
 
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "invariants", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", [b"n 2\n0 1\xff", b"n \xc2\xb2\n"])
+    def test_undecodable_or_non_decimal_header_is_usage_error(
+            self, capsys, tmp_path, raw):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(raw)
+        code, out, err = run(capsys, "invariants", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [("reg", "C4", "--method", "oracle"),
                                       ("reg", "C4", "--method", "structural"),
                                       ("verify", "--max-n", "2")])

@@ -1,0 +1,77 @@
+"""Property tests of the CLI contract: whatever the input file holds, the
+graph commands exit 0, 1 or 2, raise nothing, and write at most one line
+to stderr.
+
+Generated vertex counts stay at n <= 7 (a raw byte string holds at most one
+decimal digit), because Graph.from_edges allocates one set per vertex and a
+huge header would exhaust memory rather than test the contract.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from beireg import cli
+
+SMALL_INT = st.integers(-2, 8)
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.floats(-2, 8), st.lists(SMALL_INT, max_size=3))
+
+EDGELIST_TEXT = st.builds(
+    lambda header, lines: "\n".join([header] + lines) + "\n",
+    st.one_of(st.integers(0, 7).map(lambda k: f"n {k}"),
+              st.sampled_from(["", "n", "n x", "m 3", "n 3 4", "n -1",
+                               "n ²", "# comment"])),
+    st.lists(st.lists(st.one_of(SMALL_INT.map(str),
+                                st.sampled_from(["x", "1.0", "²", "#"])),
+                      max_size=3).map(" ".join),
+             max_size=8))
+
+GRAPH_JSON = st.fixed_dictionaries(
+    {"n": st.one_of(st.integers(-1, 7), JUNK),
+     "edges": st.one_of(
+         st.lists(st.one_of(st.lists(st.one_of(SMALL_INT, JUNK), max_size=3),
+                            JUNK),
+                  max_size=8),
+         JUNK)},
+    optional={"labels": st.one_of(
+        st.lists(st.one_of(st.text(max_size=2), SMALL_INT), max_size=8),
+        JUNK)})
+
+JSON_TEXT = st.one_of(GRAPH_JSON, JUNK).map(json.dumps)
+
+
+def _one_digit_at_most(raw):
+    return sum(ch.isdecimal() for ch in raw.decode("utf-8", "replace")) <= 1
+
+
+FILE_BYTES = st.one_of(EDGELIST_TEXT.map(str.encode),
+                       JSON_TEXT.map(str.encode),
+                       st.binary(max_size=12).filter(_one_digit_at_most))
+
+COMMANDS = st.sampled_from([
+    ["invariants"],
+    ["recognize", "cl"],
+    ["recognize", "wl"],
+    ["recognize", "sig"],
+    ["reg", "--method", "structural"],
+])
+
+FORMAT = st.sampled_from([[], ["--format", "edgelist"], ["--format", "json"]])
+
+
+@settings(database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=FILE_BYTES, command=COMMANDS, fmt=FORMAT)
+def test_graph_commands_keep_the_exit_contract(tmp_path_factory, raw,
+                                               command, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    path.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command + [str(path)] + fmt)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1

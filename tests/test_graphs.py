@@ -67,6 +67,26 @@ class TestInducedSubgraph:
             gr.induced_subgraph(gr.path_graph(3), [0, 5])
 
 
+class TestComponentGraphs:
+    def test_connected_graph_is_its_own_view(self, cl_example):
+        assert gr.component_graphs(cl_example) == [
+            (cl_example, tuple(range(cl_example.n)))]
+        assert gr.component_graphs(cl_example)[0][0] is cl_example
+
+    def test_labelled_disconnected_graph(self):
+        g = gr.Graph.from_edges(6, [(0, 3), (3, 5), (1, 4)],
+                                labels=["a", "b", "c", "d", "e", "f"])
+        view = gr.component_graphs(g)
+        assert [old_ids for _, old_ids in view] == gr.components(g)
+        for sub, old_ids in view:
+            assert (sub, old_ids) == gr.induced_subgraph(g, old_ids)
+        assert [sub.labels for sub, _ in view] == [
+            ("a", "d", "f"), ("b", "e"), ("c",)]
+
+    def test_empty_graph_has_no_components(self):
+        assert gr.component_graphs(gr.empty_graph(0)) == []
+
+
 class TestLongestInducedPath:
     def test_path(self):
         assert gr.longest_induced_path(gr.path_graph(5)) == (4, (0, 1, 2, 3, 4))
@@ -213,7 +233,9 @@ class TestSimplicial:
 
 class TestSplits:
     def test_bowtie(self):
-        assert gr.splits_at(bowtie(), 0) == [(0, 1, 2), (0, 3, 4)]
+        parts = gr.splits_at(bowtie(), 0)
+        assert parts == [(0, 1, 2), (0, 3, 4)]
+        assert set(parts[0]) & set(parts[1]) == {0}
 
     def test_leaf_raises(self):
         with pytest.raises(ValueError):
@@ -221,15 +243,6 @@ class TestSplits:
 
     def test_star_center_has_three(self):
         assert len(gr.splits_at(gr.star_graph(3), 0)) == 3
-
-    def test_split_type_two_parts(self):
-        split = gr.Split.at(bowtie(), 0)
-        assert split.parts == ((0, 1, 2), (0, 3, 4))
-        assert set(split.parts[0]) & set(split.parts[1]) == {0}
-
-    def test_split_type_rejects_three_parts(self):
-        with pytest.raises(ValueError):
-            gr.Split.at(gr.star_graph(3), 0)
 
 
 class TestCliqueClosure:

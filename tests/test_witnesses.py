@@ -91,11 +91,11 @@ class TestGenLrw:
         # vertex "2" of the (3,4,5) witness splits into the first clique
         # and the rest, both seeing it as a simplicial vertex
         g = wt.gen_lrw(3, 4, 5)
-        split = gr.Split.at(g, 1)
-        subs = [gr.induced_subgraph(g, p)[0] for p in split.parts]
-        ids = [dict(zip(p, range(len(p)))) for p in split.parts]
-        assert all(gr.is_simplicial(s, m[1]) for s, m in zip(subs, ids))
-        assert sorted(len(p) for p in split.parts) == [3, 6]
+        parts = gr.splits_at(g, 1)
+        assert len(parts) == 2
+        subs = [gr.induced_subgraph(g, p)[0] for p in parts]
+        assert all(gr.is_simplicial(s, p.index(1)) for s, p in zip(subs, parts))
+        assert sorted(len(p) for p in parts) == [3, 6]
 
     def test_order_violation(self):
         with pytest.raises(ValueError):
