@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graphs as gr
-from .groebner import PolynomialContext, initial_ideal, lex_groebner
+from .groebner import (GROEBNER_MAX_VARIABLES, PolynomialContext,
+                       initial_ideal, lex_groebner)
 from .hochster import hochster_regularity
 
 ORACLE_MAX_N_DEFAULT = 8
@@ -118,12 +119,18 @@ def _oracle_connected(sub):
 def oracle_reg(g, max_n=None):
     """Exact regularity via the Groebner/homology route, summed over
     connected components.  Gated by max_n (default 8, overridable via the
-    BEIREG_ORACLE_MAX_N environment variable)."""
+    BEIREG_ORACLE_MAX_N environment variable), and per component by the
+    Groebner basis's variable limit, whatever max_n says."""
     gate = oracle_gate_from_env() if max_n is None else max_n
     if g.n > gate:
         raise OracleGateError(f"oracle gate exceeded: n={g.n} > {gate}")
-    return sum(_oracle_connected(sub)
-               for sub, _ in gr.component_graphs(g) if sub.n >= 2)
+    subs = [sub for sub, _ in gr.component_graphs(g) if sub.n >= 2]
+    for sub in subs:
+        if 2 * sub.n > GROEBNER_MAX_VARIABLES:
+            raise OracleGateError(
+                f"oracle gate exceeded: a component with n={sub.n} needs "
+                f"{2 * sub.n} > {GROEBNER_MAX_VARIABLES} polynomial variables")
+    return sum(_oracle_connected(sub) for sub in subs)
 
 
 def initial_ideals_of(g):

@@ -79,13 +79,15 @@ def check_one(g, oracle=None):
     results = {}
     subs = [sub for sub, _ in gr.component_graphs(g)]
     ell = gr.ell(g)
-    cliques = len(gr.maximal_cliques(g))
+    # the maximal cliques of g are those of its components
+    comp_cliques = [gr.maximal_cliques(s) for s in subs]
+    cliques = sum(map(len, comp_cliques))
     reg_per_comp = [oracle(s) for s in subs]
     reg = sum(reg_per_comp)
 
     ok = ell <= reg <= min(cliques, max(g.n - 1, 0))
-    for s, r in zip(subs, reg_per_comp):
-        if s.n >= 1 and not r <= s.n - gr.clique_number(s) + 1:
+    for s, cs, r in zip(subs, comp_cliques, reg_per_comp):
+        if not r <= s.n - max(map(len, cs)) + 1:
             ok = False
     results["bounds"] = ok
 
@@ -97,7 +99,7 @@ def check_one(g, oracle=None):
     results["cl-roundtrip"] = (not cl_ok) or rec.validate_cl_certificate(g, cl) is None
 
     if len(subs) == 1:
-        omega = gr.clique_number(g)
+        omega = max(map(len, comp_cliques[0]))
         wl = rec.recognize_wl(g)
         wl_ok = not isinstance(wl, rec.NotWLReason)
         equal_lw = ell == g.n - omega + 1

@@ -11,6 +11,10 @@ regularity, n - omega + 1) for 3 <= ell <= r <= wbar out of a path, two
 overlapping cliques and a pendant matching; the value is certified by the
 cut-vertex gluing chain.
 
+search_l2 explores the open case ell = 2 that LrwRequest refuses: it
+filters the isomorphism classes of graphs.enumerate_graphs by clique
+number, induced path length and oracle regularity.
+
 Every generated graph is checked against its own postconditions before it
 is returned; a failure is a bug, not an input condition.
 """
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 
 from . import graphs as gr
 from . import regularity as rg
-
-SEARCH_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -164,42 +166,25 @@ def search_l2(r, wbar, max_omega):
     n - omega + 1 = wbar whose oracle regularity equals r, for clique
     numbers up to max_omega.
 
-    Hosts are a complete graph on omega vertices plus wbar - 1 extra
-    vertices with every edge pattern among the extras and towards the
-    clique; this reaches every graph with the prescribed clique number and
-    vertex count.  The empty list is a valid (negative) answer.
+    The candidates are the connected isomorphism classes of
+    graphs.enumerate_graphs on n = wbar + 1 .. max_omega + wbar - 1
+    vertices, so each hit is that function's representative of its class
+    and the reach is gated by graphs.ENUMERATION_MAX_N.  Hits are sorted by
+    vertex count, then canonical form.  The empty list is a valid
+    (negative) answer.
     """
     if not 2 <= r <= wbar:
         raise ValueError("need 2 <= r <= wbar")
     if max_omega < 2:
         raise ValueError("max_omega must be at least 2")
-    if max_omega + wbar - 1 > SEARCH_MAX_N:
+    if max_omega + wbar - 1 > gr.ENUMERATION_MAX_N:
         raise ValueError(
             f"size gate exceeded: omega={max_omega}, wbar={wbar} needs "
-            f"n={max_omega + wbar - 1} > {SEARCH_MAX_N}")
+            f"n={max_omega + wbar - 1} > {gr.ENUMERATION_MAX_N}")
 
-    hits = []
-    seen = set()
-    for omega in range(2, max_omega + 1):
-        n = omega + wbar - 1
-        extras = list(range(omega, n))
-        base = [(i, j) for i in range(omega) for j in range(i + 1, omega)]
-        optional = [(a, b) for i, a in enumerate(extras) for b in extras[i + 1:]]
-        optional += [(k, a) for a in extras for k in range(omega)]
-        for mask in range(1 << len(optional)):
-            edges = base + [e for i, e in enumerate(optional) if mask >> i & 1]
-            g = gr.Graph.from_edges(n, edges)
-            if not gr.is_connected(g):
-                continue
-            if gr.clique_number(g) != omega:
-                continue
-            if gr.ell(g) != 2:
-                continue
-            key = gr.canonical_form(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            if rg.oracle_reg(g) == r:
-                hits.append(g)
+    hits = [g for n in range(wbar + 1, max_omega + wbar)
+            for g in gr.enumerate_graphs(n, connected_only=True)
+            if gr.clique_number(g) == n - wbar + 1
+            and gr.ell(g) == 2 and rg.oracle_reg(g) == r]
     hits.sort(key=lambda g: (g.n, gr.canonical_form(g)))
     return hits

@@ -131,6 +131,37 @@ class TestReg:
         assert code == 1
         assert "gate" in err
 
+    @pytest.mark.parametrize("graph, flags, env", [
+        ("cl_example.json", ["--method", "oracle", "--oracle-max-n", "11"], None),
+        ("c11.edges", ["--oracle-max-n", "11"], None),
+        ("c11.edges", [], "11"),
+    ])
+    def test_oracle_gate_above_groebner_limit_is_usage_error(
+            self, capsys, monkeypatch, tmp_path, fixtures_dir, graph, flags,
+            env):
+        # an 11-vertex component needs 22 polynomial variables, more than
+        # the Groebner basis allows, whatever the raised gate says
+        c11 = tmp_path / "c11.edges"
+        c11.write_text("n 11\n" + "".join(f"{i} {(i + 1) % 11}\n"
+                                          for i in range(11)))
+        if env is not None:
+            monkeypatch.setenv(rg.ORACLE_MAX_N_ENV, env)
+        path = fixtures_dir / graph if graph.endswith(".json") else c11
+        code, out, err = run(capsys, "reg", str(path), *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gate" in err
+
+    def test_oracle_gate_is_checked_per_component(self, capsys, tmp_path):
+        # C6 + C6 has n = 12, but each component needs only 12 variables
+        f = tmp_path / "c6c6.edges"
+        f.write_text("n 12\n" + "".join(
+            f"{k + i} {k + (i + 1) % 6}\n" for k in (0, 6) for i in range(6)))
+        code, out, _ = run(capsys, "reg", str(f), "--method", "oracle",
+                           "--oracle-max-n", "12")
+        assert code == 0
+        assert json.loads(out)["value"] == {"exact": 8}
+
     @pytest.mark.parametrize("budget", ["-5", "-1"])
     def test_negative_budget_is_usage_error(self, capsys, fixtures_dir, budget):
         code, out, err = run(capsys, "reg", str(fixtures_dir / "cl_example.json"),

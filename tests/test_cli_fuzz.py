@@ -1,6 +1,7 @@
 """Property tests of the CLI contract: whatever the input file holds, the
 graph commands exit 0, 1 or 2, raise nothing, and write at most one line
-to stderr.
+to stderr; so do gen, verify and search-l2, whatever their integer
+arguments.
 
 Generated vertex counts stay at n <= 7 (a raw byte string holds at most one
 decimal digit), because Graph.from_edges allocates one set per vertex and a
@@ -73,5 +74,34 @@ def test_graph_commands_keep_the_exit_contract(tmp_path_factory, raw,
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(command + [str(path)] + fmt)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+
+
+def _ints(low, high, count):
+    return st.lists(st.integers(low, high), min_size=count,
+                    max_size=count).map(lambda xs: [str(x) for x in xs])
+
+
+# --jobs stays at its default of 1, so no process pool is started
+PARAMETER_ARGV = st.one_of(
+    _ints(-2, 8, 3).map(
+        lambda v: ["search-l2", "--r", v[0], "--wbar", v[1],
+                   "--max-omega", v[2]]),
+    st.builds(lambda kind, v, verify: ["gen", kind] + v + verify,
+              st.sampled_from(["lrc", "lrw"]), _ints(-2, 7, 3),
+              st.sampled_from([[], ["--verify"]])),
+    st.builds(lambda k, connected: ["verify", "--max-n", str(k)] + connected,
+              st.integers(-1, 3), st.sampled_from([[], ["--connected-only"]])),
+)
+
+
+@settings(database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=PARAMETER_ARGV)
+def test_parameter_commands_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1

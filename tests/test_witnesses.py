@@ -4,6 +4,37 @@ from beireg import graphs as gr
 from beireg import regularity as rg
 from beireg import witnesses as wt
 
+# canonical forms (hex) of the hits of search_l2(r, wbar, max_omega), in
+# order, as an independent search over every edge pattern around a fixed
+# maximum clique found them
+SEARCH_L2_REACH = {
+    (2, 4, 4): (
+        "0512c0 053780 06089e 0608be 0609be 0609d6 060bf6 0619be 0619fc "
+        "061bfc 063bf2 063bf6 063dbc 067fbc 070423f8 070427f8 07042ff8 "
+        "070467f8 07046ff8 07047b58 0704eff8 0704f6f8 0704ffd8 0705fef8 "
+        "070c67f8 070c6ff8 070c7ff0 070ceff8 070cf6f8 070cfff0 070dfef8 "
+        "070dfff0 071ceff8 071cffc8 071cffd8 071dffc8 071dffd8 071f3278 "
+        "071f76f0 071fffc0 073dfe78 073dfef8 073eefc8 073eefd8 073ffef0 "
+        "077fefd8"
+    ).split(),
+    (2, 5, 3): (
+        "060896 0619bc 063bf0 07042278 070422f8 070426f8 07042758 "
+        "07042fd8 070466f8 0704efd8 070c66f8 070c67f0 070c6ff0 070ceff0 "
+        "070cf6f0 070dfef0 071cefc8 071cefd8 071cffc0 071dffc0 073dfe58 "
+        "073dfe60 073dfef0"
+    ).split(),
+    (2, 6, 2): (
+        "07042258 070c66f0 071cefc0"
+    ).split(),
+    (3, 4, 4): (
+        "0619d6 070c7b58 070cb6d8 070dbb58 071cf6f8"
+    ).split(),
+    (2, 2, 6): (
+        "0360 043c 047c 051fc0 053fc0 057fc0 060ffe 061ffe 063ffe 067ffe "
+        "0707fff8 070ffff8 071ffff8 073ffff8 077ffff8"
+    ).split(),
+}
+
 
 class TestGenLrc:
     def test_two_triangles(self):
@@ -118,6 +149,11 @@ class TestSearchL2:
             assert gr.ell(g) == 2
             assert g.n - gr.clique_number(g) + 1 == 3
             assert rg.oracle_reg(g) == 2
+
+    @pytest.mark.parametrize("args", list(SEARCH_L2_REACH))
+    def test_reach(self, args):
+        hits = wt.search_l2(*args)
+        assert [gr.canonical_form(g).hex() for g in hits] == SEARCH_L2_REACH[args]
 
     def test_size_gate(self):
         with pytest.raises(ValueError):
