@@ -73,9 +73,6 @@ class Graph:
     def has_edge(self, u, v):
         return v in self.adj[u]
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def neighbor_masks(self):
         """Per-vertex neighborhoods as bitmasks (internal workhorse)."""
         return [sum(1 << u for u in nbrs) for nbrs in self.adj]

@@ -59,10 +59,10 @@ def _component_runs(neigh_positions):
     return runs
 
 
-def _build_component_certificate(sub, old_ids):
+def _build_component_certificate(sub, old_ids, length, path):
     """Run the constructive direction on one connected component with
-    ell = clique count; returns its certificate."""
-    length, path = gr.longest_induced_path(sub)
+    ell = clique count, given its longest induced path; returns its
+    certificate."""
     on_path = set(path)
     off_path = [v for v in range(sub.n) if v not in on_path]
     position = {v: j for j, v in enumerate(path)}
@@ -102,11 +102,11 @@ def recognize_cl(g):
     """
     certs = []
     for idx, (sub, old_ids) in enumerate(gr.component_graphs(g)):
-        comp_ell = gr.longest_induced_path(sub)[0]
+        comp_ell, path = gr.longest_induced_path(sub)
         comp_c = len(gr.maximal_cliques(sub))
         if comp_ell != comp_c:
             return NotCLReason(component_index=idx, ell=comp_ell, clique_count=comp_c)
-        certs.append(_build_component_certificate(sub, old_ids))
+        certs.append(_build_component_certificate(sub, old_ids, comp_ell, path))
     cert = CLCertificate(components=tuple(certs))
     problem = validate_cl_certificate(g, cert)
     if problem is not None:

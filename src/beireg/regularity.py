@@ -6,7 +6,10 @@ Two independent routes are kept deliberately separate:
     hypotheses (component additivity, complete/path base cases, the
     lower/upper bound sandwich, cut-vertex gluing, the elimination
     inequality, induced-subgraph monotonicity) and returns either an exact
-    value or an honest interval;
+    value or an honest interval.  It reads every clique fact of a connected
+    graph from its maximal cliques: K_n has one, a vertex is simplicial
+    (free) iff it lies in exactly one, and a cut vertex glues iff it lies
+    in exactly two;
   * the oracle computes the actual value through a lex Groebner basis,
     its squarefree initial ideal, and restricted-complex homology over
     the rationals.
@@ -17,6 +20,7 @@ All computation is over characteristic zero; every report records that.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,12 +72,9 @@ class RegularityReport:
 # ---------------------------------------------------------------------------
 # bounds
 
-def _component_upper(sub):
-    """min(clique count, n-1, n-omega+1) for one component; 0 for a single
-    vertex."""
-    if sub.n <= 1:
-        return 0
-    cliques = gr.maximal_cliques(sub)
+def _component_upper(sub, cliques):
+    """min(clique count, n-1, n-omega+1) for one component, given its
+    maximal cliques; 0 for a single vertex."""
     return min(len(cliques), sub.n - 1, sub.n - max(map(len, cliques)) + 1)
 
 
@@ -83,7 +84,7 @@ def bounds(g):
     lo = hi = 0
     for sub, _ in gr.component_graphs(g):
         lo += gr.longest_induced_path(sub)[0]
-        hi += _component_upper(sub)
+        hi += _component_upper(sub, gr.maximal_cliques(sub))
     return lo, hi
 
 
@@ -142,10 +143,6 @@ def initial_ideals_of(g):
 # ---------------------------------------------------------------------------
 # structural solver
 
-def _is_complete(g):
-    return g.n >= 2 and g.edge_count() == g.n * (g.n - 1) // 2
-
-
 def _is_path(g):
     """A connected graph is a path iff it is a tree of maximum degree 2."""
     return g.edge_count() == g.n - 1 and all(len(nbrs) <= 2 for nbrs in g.adj)
@@ -199,38 +196,38 @@ def _derive(g, budget, memo, note):
     if g.edge_count() == 0:
         note("path-base", "single vertex")
         return 0, 0
-    if _is_complete(g):
+    cliques = gr.maximal_cliques(g)
+    if len(cliques) == 1:
         note("complete-base", f"K_{g.n}")
         return 1, 1
     if _is_path(g):
         note("path-base", f"path of length {g.n - 1}")
         return g.n - 1, g.n - 1
 
-    lo, hi = bounds(g)
+    lo, hi = gr.longest_induced_path(g)[0], _component_upper(g, cliques)
     if lo == hi:
         note("sandwich", f"bounds meet at {lo}")
         return lo, hi
 
-    # gluing at the first cut vertex with exactly two splits, simplicial in
-    # both; with three or more splits the vertex cannot be simplicial in any
-    # grouped union, so the rule never applies through grouping
+    # gluing at the first cut vertex simplicial in both halves of a two-part
+    # split, which is the first cut vertex in exactly two maximal cliques:
+    # each clique minus v is connected, so the split has at most two parts
+    # and v's neighbors in each form a clique.  A vertex in three or more
+    # cliques never glues, since any split leaves two of them in one part.
+    membership = Counter(v for clique in cliques for v in clique)
     for v in range(g.n):
-        if g.degree(v) < 2:
+        if membership[v] != 2:
             continue
         try:
             split = gr.splits_at(g, v)
         except ValueError:
             continue
-        if len(split) != 2:
-            continue
-        halves = [gr.induced_subgraph(g, part) for part in split]
-        if all(gr.is_simplicial(sub, old_ids.index(v)) for sub, old_ids in halves):
-            (l1, h1) = _solve(halves[0][0], budget, memo, _quiet)
-            (l2, h2) = _solve(halves[1][0], budget, memo, _quiet)
-            lo = max(lo, l1 + l2)
-            hi = min(hi, h1 + h2)
-            note("gluing", f"split at {v} gives [{l1 + l2}, {h1 + h2}]")
-            break
+        (l1, h1), (l2, h2) = (_solve(gr.induced_subgraph(g, part)[0], budget,
+                                     memo, _quiet) for part in split)
+        lo = max(lo, l1 + l2)
+        hi = min(hi, h1 + h2)
+        note("gluing", f"split at {v} gives [{l1 + l2}, {h1 + h2}]")
+        break
     if lo == hi:
         note("sandwich", f"bounds meet at {lo}")
         return lo, hi
@@ -238,7 +235,7 @@ def _derive(g, budget, memo, note):
     if budget > 0:
         minus = [gr.delete_vertex(g, v) for v in range(g.n)]
         for v in range(g.n):
-            if gr.is_simplicial(g, v):
+            if membership[v] == 1:
                 continue
             closed = gr.clique_closure(g, v)
             h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
@@ -275,8 +272,9 @@ def reg(g, method="auto", budget=DEFAULT_BUDGET, oracle_max_n=None):
     """Regularity facade.
 
     auto: structural first, oracle fallback when the structural result is
-    an interval and the graph fits the oracle gate.  Exact results from
-    the two routes are asserted to agree whenever both run.
+    an interval and the oracle's gates (size, Groebner variables per
+    component) admit the graph.  Exact results from the two routes are
+    asserted to agree whenever both run.
     """
     gate = oracle_gate_from_env() if oracle_max_n is None else oracle_max_n
     if method == "structural":
@@ -296,14 +294,16 @@ def reg(g, method="auto", budget=DEFAULT_BUDGET, oracle_max_n=None):
     if report.exact:
         return RegularityReport(lo=report.lo, hi=report.hi, method="auto",
                                 trace=report.trace)
-    if g.n <= gate:
+    try:
         value = oracle_reg(g, max_n=gate)
-        if not report.lo <= value <= report.hi:
-            raise RuntimeError(
-                f"oracle value {value} escapes the structural interval "
-                f"[{report.lo}, {report.hi}]")
-        trace = report.trace + (("oracle", f"homology gives {value}"),)
-        return RegularityReport(lo=value, hi=value, method="auto", trace=trace)
-    trace = report.trace + (
-        ("oracle", f"skipped: n={g.n} exceeds the gate {gate}"),)
-    return RegularityReport(lo=report.lo, hi=report.hi, method="auto", trace=trace)
+    except OracleGateError as exc:
+        reason = f"n={g.n} exceeds the gate {gate}" if g.n > gate else exc
+        trace = report.trace + (("oracle", f"skipped: {reason}"),)
+        return RegularityReport(lo=report.lo, hi=report.hi, method="auto",
+                                trace=trace)
+    if not report.lo <= value <= report.hi:
+        raise RuntimeError(
+            f"oracle value {value} escapes the structural interval "
+            f"[{report.lo}, {report.hi}]")
+    trace = report.trace + (("oracle", f"homology gives {value}"),)
+    return RegularityReport(lo=value, hi=value, method="auto", trace=trace)

@@ -14,6 +14,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_c11(tmp_path):
+    """The 11-cycle as an edge-list file; its one component needs 22
+    polynomial variables, more than the Groebner basis allows."""
+    c11 = tmp_path / "c11.edges"
+    c11.write_text("n 11\n" + "".join(f"{i} {(i + 1) % 11}\n"
+                                      for i in range(11)))
+    return c11
+
+
 class TestInvariants:
     def test_valid_cl_fixture(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "invariants", str(fixtures_dir / "cl_example.json"))
@@ -133,24 +142,40 @@ class TestReg:
 
     @pytest.mark.parametrize("graph, flags, env", [
         ("cl_example.json", ["--method", "oracle", "--oracle-max-n", "11"], None),
-        ("c11.edges", ["--oracle-max-n", "11"], None),
-        ("c11.edges", [], "11"),
+        ("c11.edges", ["--method", "oracle", "--oracle-max-n", "11"], None),
+        ("c11.edges", ["--method", "oracle"], "11"),
     ])
     def test_oracle_gate_above_groebner_limit_is_usage_error(
             self, capsys, monkeypatch, tmp_path, fixtures_dir, graph, flags,
             env):
         # an 11-vertex component needs 22 polynomial variables, more than
         # the Groebner basis allows, whatever the raised gate says
-        c11 = tmp_path / "c11.edges"
-        c11.write_text("n 11\n" + "".join(f"{i} {(i + 1) % 11}\n"
-                                          for i in range(11)))
         if env is not None:
             monkeypatch.setenv(rg.ORACLE_MAX_N_ENV, env)
-        path = fixtures_dir / graph if graph.endswith(".json") else c11
+        path = (fixtures_dir / graph if graph.endswith(".json")
+                else write_c11(tmp_path))
         code, out, err = run(capsys, "reg", str(path), *flags)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "gate" in err
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--oracle-max-n", "11"], None),
+        ([], "11"),
+    ])
+    def test_auto_above_groebner_limit_reports_interval(
+            self, capsys, monkeypatch, tmp_path, flags, env):
+        # with the gate raised past the Groebner limit, auto returns the
+        # structural interval, as it does under the default gate
+        if env is not None:
+            monkeypatch.setenv(rg.ORACLE_MAX_N_ENV, env)
+        code, out, err = run(capsys, "reg", str(write_c11(tmp_path)), *flags)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["value"] == {"interval": [9, 10]}
+        skipped = [t for t in data["trace"] if t["rule"] == "oracle"]
+        assert len(skipped) == 1
+        assert skipped[0]["detail"].startswith("skipped: ")
 
     def test_oracle_gate_is_checked_per_component(self, capsys, tmp_path):
         # C6 + C6 has n = 12, but each component needs only 12 variables

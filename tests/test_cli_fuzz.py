@@ -1,7 +1,7 @@
 """Property tests of the CLI contract: whatever the input file holds, the
 graph commands exit 0, 1 or 2, raise nothing, and write at most one line
-to stderr; so do gen, verify and search-l2, whatever their integer
-arguments.
+to stderr; so do gen, verify, search-l2 and reg on the fixtures, whatever
+their integer arguments and flags.
 
 Generated vertex counts stay at n <= 7 (a raw byte string holds at most one
 decimal digit), because Graph.from_edges allocates one set per vertex and a
@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beireg import cli
+from conftest import FIXTURES
 
 SMALL_INT = st.integers(-2, 8)
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -83,7 +84,8 @@ def _ints(low, high, count):
                     max_size=count).map(lambda xs: [str(x) for x in xs])
 
 
-# --jobs stays at its default of 1, so no process pool is started
+# --jobs never exceeds 1, so no process pool is started; --budget stays at
+# or below 3, because the structural recursion is exponential in it
 PARAMETER_ARGV = st.one_of(
     _ints(-2, 8, 3).map(
         lambda v: ["search-l2", "--r", v[0], "--wbar", v[1],
@@ -93,6 +95,14 @@ PARAMETER_ARGV = st.one_of(
               st.sampled_from([[], ["--verify"]])),
     st.builds(lambda k, connected: ["verify", "--max-n", str(k)] + connected,
               st.integers(-1, 3), st.sampled_from([[], ["--connected-only"]])),
+    st.builds(lambda path, method, b, k: ["reg", str(path), "--method", method,
+                                          "--budget", str(b),
+                                          "--oracle-max-n", str(k)],
+              st.sampled_from(sorted(FIXTURES.iterdir())),
+              st.sampled_from(["auto", "structural", "oracle"]),
+              st.integers(-2, 3), st.integers(-2, 12)),
+    st.builds(lambda k, j: ["verify", "--max-n", str(k), "--jobs", str(j)],
+              st.integers(-1, 3), st.integers(-2, 1)),
 )
 
 

@@ -245,6 +245,35 @@ class TestSplits:
         assert len(gr.splits_at(gr.star_graph(3), 0)) == 3
 
 
+class TestCliqueMembership:
+    """The structural solver reads simplicial and gluing vertices from the
+    number of maximal cliques through a vertex; pin both equivalences."""
+
+    def test_simplicial_iff_in_one_clique(self):
+        for n in range(1, 7):
+            for g in gr.enumerate_graphs(n):
+                cliques = gr.maximal_cliques(g)
+                for v in range(g.n):
+                    inside = sum(v in c for c in cliques)
+                    assert gr.is_simplicial(g, v) == (inside == 1), g.edges()
+
+    def test_gluing_vertex_iff_cut_vertex_in_two_cliques(self):
+        for n in range(2, 7):
+            for g in gr.enumerate_graphs(n, connected_only=True):
+                cliques = gr.maximal_cliques(g)
+                for v in range(g.n):
+                    try:
+                        split = gr.splits_at(g, v)
+                    except ValueError:
+                        split = None
+                    glues = split is not None and len(split) == 2 and all(
+                        gr.is_simplicial(sub, ids.index(v)) for sub, ids in
+                        (gr.induced_subgraph(g, part) for part in split))
+                    inside = sum(v in c for c in cliques)
+                    assert glues == (inside == 2 and split is not None), \
+                        g.edges()
+
+
 class TestCliqueClosure:
     def test_star_center_becomes_complete(self):
         closed = gr.clique_closure(gr.star_graph(3), 0)
