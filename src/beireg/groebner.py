@@ -17,8 +17,13 @@ zero against the basis (Buchberger's criterion).  A pair with coprime
 leads needs no check: its S-polynomial always reduces to zero
 (Buchberger's product criterion; Cox, Little & O'Shea, Ideals,
 Varieties, and Algorithms, 2.9).  S-polynomials and reductions of monic
-differences stay monic differences; leaving that class would signal a bug
-and raises immediately.
+differences stay monic differences.  The certificate works on packed
+exponents: each monomial is one int with a fixed-width field per
+variable, variable 0 most significant, so that int order is the lex
+order, multiplying and dividing monomials is adding and subtracting ints,
+and a divisibility test is one subtraction checked at a guard bit per
+field.  The width comes from a degree bound (no exponent of an
+S-polynomial or its reductions exceeds 2n <= 20), not from a setting.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ GROEBNER_MAX_VARIABLES = 20
 
 
 class NonBinomialError(RuntimeError):
-    """Internal: an S-polynomial or reduction left the binomial class, or
-    the basis failed its zero-reduction certificate."""
+    """Internal: the basis failed its zero-reduction certificate."""
 
 
 class NonSquarefreeLeadError(ValueError):
@@ -74,54 +78,13 @@ class Binomial:
         return f"{ctx.monomial_string(self.lead)} - {ctx.monomial_string(self.trail)}"
 
 
-def _mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _quotient(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _spoly(f, g):
-    """S-polynomial of two monic differences, as a monomial pair or None
-    when the terms cancel."""
-    big = _lcm(f.lead, g.lead)
-    m1 = _mul(_quotient(big, g.lead), g.trail)
-    m2 = _mul(_quotient(big, f.lead), f.trail)
-    if m1 == m2:
-        return None
-    return (m1, m2) if m1 > m2 else (m2, m1)
-
-
-def _normal_form(lead, trail, basis):
-    """Fully reduce the difference lead - trail; returns a monomial pair or
-    None when it reduces to zero."""
-    while True:
-        reducer = next((b for b in basis if _divides(b.lead, lead)), None)
-        if reducer is None:
-            break
-        lead = _mul(_quotient(lead, reducer.lead), reducer.trail)
-        if lead == trail:
-            return None
-        if lead < trail:
-            lead, trail = trail, lead
-    while True:
-        reducer = next((b for b in basis if _divides(b.lead, trail)), None)
-        if reducer is None:
-            break
-        trail = _mul(_quotient(trail, reducer.lead), reducer.trail)
-        # substitution strictly decreases the trail, so it stays below lead
-        if trail >= lead:
-            raise NonBinomialError("trail reduction violated the term order")
-    return lead, trail
+def _pack(mono, width):
+    """One int for an exponent tuple: a width-bit field per variable,
+    variable 0 in the most significant field."""
+    out = 0
+    for e in mono:
+        out = out << width | e
+    return out
 
 
 def _certify(basis):
@@ -130,15 +93,64 @@ def _certify(basis):
     the basis.  A pair with coprime leads always reduces to zero
     (Buchberger's product criterion; Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, 2.9, Prop. 4), so skipping it keeps the
-    certificate complete."""
-    supports = [sum(1 << v for v, e in enumerate(b.lead) if e) for b in basis]
-    for i in range(len(basis)):
-        for k in range(i + 1, len(basis)):
-            if not supports[i] & supports[k]:
+    certificate complete.  Each difference is reduced at its lead, by the
+    element of least lead that divides it, until its two terms cancel; a
+    lead that no element divides leaves a nonzero remainder.  Which divisor
+    is taken does not change the verdict: reducing a monic difference
+    leaves a monic difference, so a set of them passes exactly when it is
+    a Groebner basis.  The leads must be squarefree and every element
+    homogeneous; either failing raises ValueError (NonSquarefreeLeadError
+    for a lead).
+
+    Monomials are packed into ints (_pack): a field per variable, variable
+    0 most significant, so int order is the lex order, multiplication and
+    division are addition and subtraction, and the lcm of two squarefree
+    leads is their OR.  Every element is homogeneous with a squarefree
+    lead, so an S-polynomial and everything it reduces to have the degree
+    of the lcm of two leads, at most the number of variables, and no
+    exponent exceeds it.  The field width is that bound's bit length plus
+    one guard bit, the field's top bit, so no sum or difference carries
+    into the next field, and b divides m exactly when every guard bit of
+    (m with all guard bits set) - b is still set."""
+    if not basis:
+        return
+    nvars = len(basis[0].lead)
+    for b in basis:
+        if any(e > 1 for e in b.lead):
+            raise NonSquarefreeLeadError(f"non-squarefree lead {b.lead}")
+        if sum(b.lead) != sum(b.trail):
+            raise ValueError(f"inhomogeneous binomial {b.lead} - {b.trail}")
+    width = nvars.bit_length() + 1
+    guard = _pack((1 << width - 1,) * nvars, width)
+    packed = sorted((_pack(b.lead, width), _pack(b.trail, width))
+                    for b in basis)
+
+    def reduced(m):
+        """m reduced once by the element of least lead that divides it, or
+        None.  A divisor of m is at most m, so the scan stops at the first
+        lead above m."""
+        high = m | guard
+        for lead, trail in packed:
+            if lead > m:
+                return None
+            if (high - lead) & guard == guard:
+                return m - lead + trail
+        return None
+
+    for i, (lead_i, trail_i) in enumerate(packed):
+        for lead_k, trail_k in packed[i + 1:]:
+            if not lead_i & lead_k:
                 continue
-            pair = _spoly(basis[i], basis[k])
-            if pair is not None and _normal_form(pair[0], pair[1], basis) is not None:
-                raise NonBinomialError("zero-reduction certificate failed")
+            both = lead_i | lead_k
+            hi = both - lead_k + trail_k
+            lo = both - lead_i + trail_i
+            while hi != lo:
+                if hi < lo:
+                    hi, lo = lo, hi
+                hi = reduced(hi)
+                if hi is None:
+                    # a difference with an irreducible lead is not zero
+                    raise NonBinomialError("zero-reduction certificate failed")
 
 
 def _admissible_paths(g):
@@ -204,7 +216,14 @@ class MonomialIdeal:
 
     @classmethod
     def from_supports(cls, nvars, masks):
-        masks = sorted(set(int(m) for m in masks if m))
+        """The ideal of the given generator supports; raises ValueError for
+        a mask outside [1, 2^nvars), which names no nonempty set of the
+        nvars variables."""
+        masks = sorted(set(int(m) for m in masks))
+        for m in masks:
+            if not 0 < m < 1 << nvars:
+                raise ValueError(
+                    f"generator mask {m} is not a nonempty set of {nvars} variables")
         minimal = [m for m in masks
                    if not any(o != m and o & m == o for o in masks)]
         return cls(nvars=nvars, gens=tuple(sorted(minimal)))

@@ -7,13 +7,18 @@ restricted to sigma; restrictions that are cones contribute nothing, which
 confines the sweep to unions of generator supports.  Three exact
 reductions keep the linear algebra small:
 
-  * join splitting: if the generators inside sigma fall into disjoint
-    vertex groups, the restriction is a join and contributions add;
   * strong collapses: a vertex whose deletion is forced by another vertex
     (every face through v extends by u) can be removed without changing
     the homotopy type.  The generators are inclusion-minimal, so the test
     for v only scans the generators through v, and one bitset of the
     generators they cover settles every candidate u at once;
+  * join splitting at cores: if the generators of a set no collapse
+    shrinks (a core) fall into disjoint vertex groups, the restriction is
+    the join of the groups' restrictions and their answers add (Kuenneth
+    formula).  Each group is itself a core, since a vertex dominated in a
+    group is dominated in the join.  Nearly every set the sweep visits
+    reduces to a single group or to a known set, so only cores pay for
+    the split;
   * Alexander duality: homology in degree h of the restriction equals
     homology in degree |sigma| - h - 3 of the complement complex, so the
     top-degree probes only ever build small boundary matrices.
@@ -22,18 +27,21 @@ The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, and one more bitset marks the singleton generators.  The
 generators inside sigma are all of them with through[v] cleared for every
-v outside sigma; a join factor grows by flood fill over these bitsets; a
-reduction drops singletons and collapsed vertices by masking.  A
-generator bitset becomes a list of vertex masks only where a vertex is
-scanned for domination or a core's homology is built, and a per-sweep
-dict keeps each such list.
+v outside sigma, read for vertices 0-15 from two 256-entry tables that
+hold the union of through[v] over each byte of vertices; a set reaching
+past vertex 15, in the rings of 18 and 20 variables, takes a loop over
+its vertices instead.  A core's join factor grows by flood fill over
+these bitsets; a reduction drops singletons and collapsed vertices by
+masking.  A generator bitset becomes a list of vertex masks only where a
+vertex is scanned for domination or a core's homology is built, and a
+per-sweep dict keeps each such list.
 
 The answer for a set depends only on the homotopy type of its restriction,
 and every set a reduction passes through keeps that type.  So one sweep
 memoizes the answer under every set on each reduction path, and a later
-reduction stops at the first set already seen.  A set of the sweep that is
-already in the memo needs no join splitting either: by the Kuenneth
-formula for joins, the answer for a join is the sum of its factors'.
+reduction stops at the first set already seen.  The join factors of a
+core go through the same memo, so a factor shared by several cores is
+computed once.
 
 All ranks are computed by exact integer elimination that takes the
 columns in order and pivots on short rows with unit entries, so the result
@@ -145,6 +153,15 @@ class _RestrictedSweep:
                 self.through[v] |= 1 << i
             if g & (g - 1) == 0:
                 self.singles |= 1 << i
+        # the OR of through[v] over the set bits of a byte of vertices,
+        # for vertices 0-7 and 8-15, built by doubling as in _byte_bits
+        padded = self.through + [0] * (16 - len(self.through))
+        self._byte_through = []
+        for offset in (0, 8):
+            table = [0]
+            for v in range(offset, offset + 8):
+                table += [gen_set | padded[v] for gen_set in table]
+            self._byte_through.append(table)
         self._jj_memo: dict[int, int | None] = {}
         self._listed: dict[int, tuple[list[int], int]] = {}
 
@@ -162,6 +179,9 @@ class _RestrictedSweep:
 
     def _without(self, gen_set, verts):
         """The generators of gen_set that miss every vertex of verts."""
+        if verts < 0x10000:
+            low_byte, high_byte = self._byte_through
+            return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8])
         through = self.through
         while verts:
             low = verts & -verts
@@ -315,18 +335,39 @@ class _RestrictedSweep:
 
     def _jj_connected(self, sigma, internal):
         """Max nonzero reduced-homology degree plus one of the restriction
-        to a generator-connected sigma with generators internal; 0 for the
-        {emptyset} complex, None when all reduced homology vanishes.  The
-        answer is memoized under every set on the reduction path."""
+        to sigma with generators internal; 0 for the {emptyset} complex,
+        None when all reduced homology vanishes.  The answer is memoized
+        under every set on the reduction path.
+
+        A core the reductions stop at is split into its join factors.  Each
+        factor is itself a core (a vertex dominated in a factor is dominated
+        in the join), and by the Kuenneth formula the join's answer is the
+        sum of its factors' answers, None if any factor has none.  The
+        factors go through the memo, so a factor shared by several cores
+        is computed once."""
         path, state, payload = self._reduce(sigma, internal)
-        answer = payload if state == "jj" else self._core_jj(*payload)
+        if state == "jj":
+            answer = payload
+        else:
+            factors = self._gen_components(*payload)
+            if len(factors) == 1:
+                answer = self._core_jj(*payload)
+            else:
+                answer = 0
+                for group, group_internal in factors:
+                    jj = self._jj_connected(group, group_internal)
+                    if jj is None:
+                        answer = None
+                        break  # an acyclic join factor kills the join
+                    answer += jj
         for s in path:
             self._jj_memo[s] = answer
         return answer
 
     def _core_jj(self, core, internal):
-        """_jj_connected for a core that no reduction shrinks, from the
-        ranks of the Alexander dual's boundary maps."""
+        """_jj_connected for a core that no reduction shrinks and whose
+        generators form one join factor, from the ranks of the Alexander
+        dual's boundary maps."""
         internal = self._masks(internal)[0]
         m = core.bit_count()
         # the dual complex lives on the vertices that can appear in a face
@@ -395,20 +436,10 @@ class _RestrictedSweep:
         for sigma in sigmas:
             if sigma.bit_count() - 1 <= best:
                 break  # the sets come largest first
-            if sigma in self._jj_memo:  # the whole join's answer
-                total = self._jj_memo[sigma]
-                if total is not None:
-                    best = max(best, total)
-                continue
-            total = 0
-            inside = self._without(everything, span & ~sigma)
-            for group, internal in self._gen_components(sigma, inside):
-                jj = self._jj_connected(group, internal)
-                if jj is None:
-                    break  # an acyclic join factor kills the join
-                total += jj
-            else:
-                best = max(best, total)
+            jj = self._jj_connected(
+                sigma, self._without(everything, span & ~sigma))
+            if jj is not None:
+                best = max(best, jj)
         return best
 
 
@@ -422,6 +453,9 @@ def hochster_regularity(ideal: MonomialIdeal, max_vertices: int = HOCHSTER_MAX_V
     for g in ideal.gens:
         if g == 0:
             raise ValueError("the unit ideal has no Stanley-Reisner complex")
+        if g < 0 or g >> ideal.nvars:
+            raise ValueError(
+                f"generator mask {g} is not a set of {ideal.nvars} variables")
     if not ideal.gens:
         return 0
     return _RestrictedSweep(list(ideal.gens)).regularity()

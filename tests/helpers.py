@@ -208,3 +208,36 @@ def assert_is_groebner(basis):
                 _poly_scale(g, tuple(a - b for a, b in zip(lcm, lg)), Fraction(1) / g[lg]))
             remainder = _reduce_full(s, polys)
             assert not remainder, f"S-polynomial of {i},{j} does not reduce to zero"
+
+
+def reference_certify(basis):
+    """True when the S-polynomial of every pair of basis elements whose
+    leads share a variable reduces to zero against the basis, by tuple-wise
+    monomial arithmetic: each difference is reduced at its lead by the
+    first element in list order whose lead divides it, and fails once no
+    element divides its lead."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def times_quotient(m, lead, trail):
+        return tuple(x - y + z for x, y, z in zip(m, lead, trail))
+
+    def reduces_to_zero(lead, trail):
+        while lead != trail:
+            if lead < trail:
+                lead, trail = trail, lead
+            b = next((b for b in basis if divides(b.lead, lead)), None)
+            if b is None:
+                return False
+            lead = times_quotient(lead, b.lead, b.trail)
+        return True
+
+    for i, f in enumerate(basis):
+        for g in basis[i + 1:]:
+            if not any(x and y for x, y in zip(f.lead, g.lead)):
+                continue
+            both = tuple(max(x, y) for x, y in zip(f.lead, g.lead))
+            if not reduces_to_zero(times_quotient(both, g.lead, g.trail),
+                                   times_quotient(both, f.lead, f.trail)):
+                return False
+    return True

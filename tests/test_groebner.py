@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from beireg import graphs as gr
@@ -5,7 +7,7 @@ from beireg.groebner import (Binomial, MonomialIdeal, NonBinomialError,
                              NonSquarefreeLeadError, PolynomialContext,
                              _certify, initial_ideal, lex_groebner)
 
-from helpers import assert_is_groebner
+from helpers import assert_is_groebner, reference_certify
 
 
 def edge_binomial(n, i, j):
@@ -34,6 +36,22 @@ class TestBinomialEdgeIdeal:
         gb = lex_groebner(gr.Graph.from_edges(3, [(0, 1), (0, 2)]))
         assert sorted(b.to_string(ctx) for b in gb) == [
             "x1*y2 - x2*y1", "x1*y3 - x3*y1", "x2*y1*y3 - x3*y1*y2"]
+
+
+def _mutants(basis, rng, tries=3):
+    """Seeded near-misses of a basis: one element dropped, and one trail
+    replaced by a rearrangement of its exponents that stays below the
+    lead."""
+    out = []
+    for _ in range(tries):
+        k = rng.randrange(len(basis))
+        out.append(basis[:k] + basis[k + 1:])
+        b = basis[k]
+        trail = rng.sample(b.trail, len(b.trail))
+        if tuple(trail) != b.trail and tuple(trail) < b.lead:
+            out.append(basis[:k] + [Binomial(b.lead, tuple(trail))]
+                       + basis[k + 1:])
+    return out
 
 
 class TestLexGroebner:
@@ -76,6 +94,34 @@ class TestLexGroebner:
         edges = [edge_binomial(4, u, v) for u, v in gr.cycle_graph(4).edges()]
         with pytest.raises(NonBinomialError):
             _certify(edges)
+
+    def test_certificate_matches_reference(self):
+        # every connected class with n <= 5, and seeded mutants of its
+        # basis: one element dropped, one trail replaced by another
+        # monomial of its degree below its lead, each also shuffled out
+        # of lead order
+        rng = random.Random(59)
+        verdicts = {True: 0, False: 0}
+        for n in range(2, 6):
+            for g in gr.enumerate_graphs(n, connected_only=True):
+                gb = lex_groebner(g)
+                for basis in [gb, *_mutants(gb, rng)]:
+                    for order in (basis, rng.sample(basis, len(basis))):
+                        expected = reference_certify(order)
+                        try:
+                            _certify(order)
+                            accepted = True
+                        except NonBinomialError:
+                            accepted = False
+                        assert accepted == expected, (g.edges(), order)
+                        verdicts[accepted] += 1
+        assert min(verdicts.values()) > 50, verdicts
+
+    def test_certificate_requires_squarefree_homogeneous(self):
+        with pytest.raises(NonSquarefreeLeadError):
+            _certify([Binomial((2, 0), (1, 1))])
+        with pytest.raises(ValueError):
+            _certify([Binomial((1, 0), (0, 2))])
 
     def test_reduced(self):
         # no lead divides another lead; no tail divisible by any lead
@@ -121,6 +167,23 @@ class TestInitialIdeal:
     def test_minimalization(self):
         ideal = MonomialIdeal.from_supports(4, [0b0011, 0b0111, 0b1100])
         assert ideal.gens == (0b0011, 0b1100)
+
+    def test_mask_beyond_nvars_rejected(self):
+        # two variables cannot carry generators on variables 20-23
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(2, [(1 << 20) | (1 << 21),
+                                            (1 << 22) | (1 << 23)])
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [0b1000])
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [-3])
+
+    def test_empty_mask_rejected(self):
+        # the empty support is the monomial 1, which generates the unit ideal
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [0b011, 0])
 
 
 class TestBinomialType:

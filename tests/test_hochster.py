@@ -6,7 +6,7 @@ from beireg import graphs as gr
 from beireg import hochster
 from beireg.groebner import (MonomialIdeal, PolynomialContext, initial_ideal,
                              lex_groebner)
-from beireg.hochster import _rank, hochster_regularity
+from beireg.hochster import _rank, _RestrictedSweep, hochster_regularity
 
 from helpers import _fraction_rank, naive_monomial_regularity
 
@@ -48,6 +48,15 @@ class TestHochsterRegularity:
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
             hochster_regularity(MonomialIdeal(4, (0,)))
+
+    def test_generator_beyond_nvars_rejected(self):
+        # an ideal built without from_supports cannot carry generators on
+        # variables past nvars under the size gate
+        wide = MonomialIdeal(2, (mask(20, 21), mask(22, 23)))
+        with pytest.raises(ValueError):
+            hochster_regularity(wide)
+        with pytest.raises(ValueError):
+            hochster_regularity(MonomialIdeal(3, (-3,)))
 
     def test_size_gate(self):
         ideal = MonomialIdeal.from_supports(18, [mask(0, 1)])
@@ -91,6 +100,55 @@ class TestHochsterRegularity:
             gens = [mask(2 * i, 2 * i + 1) for i in range(k)]
             ideal = MonomialIdeal.from_supports(2 * k, gens)
             assert hochster_regularity(ideal) == k
+
+    def test_join_additivity(self):
+        # I and J on disjoint blocks of variables: the complex of I + J is
+        # the join of theirs, so the regularities add (Kuenneth).  In every
+        # fifth trial one block has singleton generators only, and
+        # contributes 0.
+        rng = random.Random(47)
+        for trial in range(80):
+            sizes = rng.randint(1, 6), rng.randint(1, 6)
+            blocks = []
+            offset = 0
+            for size in sizes:
+                gens = set()
+                width = 1 if trial % 10 == len(blocks) * 5 else min(3, size)
+                for _ in range(rng.randint(1, 5)):
+                    k = rng.randint(1, width)
+                    gens.add(mask(*(offset + v
+                                    for v in rng.sample(range(size), k))))
+                blocks.append(gens)
+                offset += size
+            parts = [hochster_regularity(MonomialIdeal.from_supports(offset, b))
+                     for b in blocks]
+            whole = MonomialIdeal.from_supports(offset, blocks[0] | blocks[1])
+            assert hochster_regularity(whole) == sum(parts), blocks
+            if offset <= 8:
+                assert sum(parts) == naive_monomial_regularity(
+                    whole.supports(), offset), blocks
+
+
+def test_without_matches_vertex_loop():
+    """The byte-table lookup of _without against clearing the generators
+    through each vertex one at a time, on up to 20 vertices so that masks
+    above 16 bits take the loop.  The sweep only removes vertices that some
+    generator covers."""
+    rng = random.Random(61)
+    for _ in range(40):
+        nverts = rng.randint(2, 20)
+        gens = sorted({mask(*rng.sample(range(nverts),
+                                        rng.randint(1, min(3, nverts))))
+                       for _ in range(rng.randint(1, 12))})
+        sweep = _RestrictedSweep(gens)
+        span = sweep._masks((1 << len(gens)) - 1)[1]
+        for _ in range(20):
+            gen_set = rng.getrandbits(len(gens))
+            verts = rng.getrandbits(nverts) & span
+            expected = {i for i in range(len(gens))
+                        if gen_set >> i & 1 and not gens[i] & verts}
+            got = sweep._without(gen_set, verts)
+            assert got == sum(1 << i for i in expected), (gens, verts)
 
 
 def _random_column(rng, nrows, values):

@@ -48,23 +48,27 @@ class TestOracle:
     def test_c4(self):
         assert rg.oracle_reg(gr.cycle_graph(4)) == 2
 
-    # theorem-pinned values at up to 16 variables, each computed afresh
-    # rather than read from the oracle memo
+    # theorem-pinned values at up to 20 variables, each computed afresh
+    # rather than read from the oracle memo; past 8 vertices the gate is
+    # raised, and the rings of 18 and 20 variables take the sweep's paths
+    # for vertex masks of more than 16 bits
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_cycles(self, monkeypatch, n):
         # reg(S/J_{C_n}) = n - 2 (Zafar & Zahid, EJC 2013)
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        assert rg.oracle_reg(gr.cycle_graph(n)) == n - 2
+        assert rg.oracle_reg(gr.cycle_graph(n), max_n=n) == n - 2
 
     def test_closed_band_graph(self, monkeypatch):
         # i ~ j iff |i - j| <= 2 is a closed graph, so reg = ell (Ene &
-        # Zarojanu, Math. Nachr. 2015); 0-1-3-4-6-7 is a longest induced path
+        # Zarojanu, Math. Nachr. 2015); for n = 8, 0-1-3-4-6-7 is a longest
+        # induced path, and 0-1-3-4-6-7-9 for n = 10
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        g = gr.Graph.from_edges(8, [(i, j) for i in range(8)
-                                    for j in range(i + 1, min(i + 3, 8))])
-        assert gr.ell(g) == 5
-        assert rg.oracle_reg(g) == 5
+        for n, ell in [(8, 5), (9, 5), (10, 6)]:
+            g = gr.Graph.from_edges(n, [(i, j) for i in range(n)
+                                        for j in range(i + 1, min(i + 3, n))])
+            assert gr.ell(g) == ell
+            assert rg.oracle_reg(g, max_n=n) == ell
 
     def test_rank_tail_class(self, monkeypatch):
         # the slowest class of perfbench/golden.json pool_n8 (id 21), about
