@@ -1,47 +1,63 @@
 """Regularity of a squarefree monomial quotient via reduced homology of
 vertex-restricted Stanley-Reisner complexes, over the rationals.
 
-The quotient's regularity is the maximum of h + 2 - 1 over all vertex
-subsets sigma and degrees h with nonzero reduced homology of the complex
-restricted to sigma; restrictions that are cones contribute nothing, which
-confines the sweep to unions of generator supports.  Three exact
-reductions keep the linear algebra small:
+By Hochster's formula the quotient's regularity is the largest jj(tau)
+over the vertex subsets tau, where jj(tau) is h + 1 for the top degree h
+in which the complex restricted to tau, Delta_tau, has nonzero reduced
+homology; an acyclic restriction contributes nothing, and the empty set
+({emptyset}, homology in degree -1) contributes 0.  The sweep computes
+R(W), the largest jj(tau) over the subsets tau of W, by a memoized
+recursion that starts at the span of the generators, with R(emptyset) = 0.
+Five exact rules apply, in this order:
 
-  * strong collapses: a vertex whose deletion is forced by another vertex
-    (every face through v extends by u) can be removed without changing
-    the homotopy type.  The generators are inclusion-minimal, so the test
-    for v only scans the generators through v, and one bitset of the
-    generators they cover settles every candidate u at once;
-  * join splitting at cores: if the generators of a set no collapse
-    shrinks (a core) fall into disjoint vertex groups, the restriction is
-    the join of the groups' restrictions and their answers add (Kuenneth
-    formula).  Each group is itself a core, since a vertex dominated in a
-    group is dominated in the join.  Nearly every set the sweep visits
-    reduces to a single group or to a known set, so only cores pay for
-    the split;
-  * Alexander duality: homology in degree h of the restriction equals
-    homology in degree |sigma| - h - 3 of the complement complex, so the
-    top-degree probes only ever build small boundary matrices.
+  * singles: a vertex that is itself a generator lies in no face, so it
+    is dropped;
+  * cone apexes: a vertex in no generator inside W is the apex of a cone,
+    so every restriction through it is acyclic, and it is dropped;
+  * dominated pair: if v is dominated by u in Delta_W (every face through
+    v extends by u), then R(W) = max(R(W - v), R(W - u));
+  * join: if the generators inside W fall into several classes linked by
+    shared vertices, every Delta_tau is the join of its restrictions to
+    the classes' vertex groups, jj adds over a join (Kuenneth formula),
+    and R(W) is the sum of R over the groups;
+  * core: otherwise R(W) = max(jj(W), the largest R(W - x) over x in W),
+    and jj(W) comes from homology.
+
+The dominated-pair rule is exact.  Take a face F through v of Delta_tau,
+with u, v in tau and tau inside W.  F is a face of Delta_W, so F + u is a
+face of Delta_W, and it lies in tau.  Hence v stays dominated by u in every
+such Delta_tau, a strong collapse (Barmak & Minian, DCG 2012) keeps its
+homotopy type without v, and tau has the answer of tau - v.  A tau that
+misses v lies in W - v, and one that misses u in W - u.
+
+The recursion prunes by the bound jj(tau) <= |tau| - 1 for nonempty tau
+(homology in degree h needs h <= |tau| - 2).  _solve(W, t) returns R(W)
+exactly when R(W) > t, and otherwise an upper bound on it that is at most
+t; a set with |W| - 1 <= t returns that bound at once.  One memo holds the
+exact values and one the upper bounds.  The second set of a dominated
+pair, each further set of a core and the core's own jj(W) get the running
+best as their threshold, and a join factor gets t minus the other factors'
+current bounds.  The core's homology scan stops at degrees whose h + 1
+cannot beat its floor, and skips the largest face when only one degree
+is left.
+
+Alexander duality keeps the linear algebra small: homology in degree h of
+a restriction equals homology in degree |tau| - h - 3 of the complement
+complex, so the top-degree probes only ever build small boundary matrices.
 
 The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, and one more bitset marks the singleton generators.  The
-generators inside sigma are all of them with through[v] cleared for every
-v outside sigma, read for vertices 0-15 from two 256-entry tables that
-hold the union of through[v] over each byte of vertices; a set reaching
-past vertex 15, in the rings of 18 and 20 variables, takes a loop over
-its vertices instead.  A core's join factor grows by flood fill over
-these bitsets; a reduction drops singletons and collapsed vertices by
-masking.  A generator bitset becomes a list of vertex masks only where a
-vertex is scanned for domination or a core's homology is built, and a
-per-sweep dict keeps each such list.
-
-The answer for a set depends only on the homotopy type of its restriction,
-and every set a reduction passes through keeps that type.  So one sweep
-memoizes the answer under every set on each reduction path, and a later
-reduction stops at the first set already seen.  The join factors of a
-core go through the same memo, so a factor shared by several cores is
-computed once.
+generators inside W are all of them with through[v] cleared for every v
+outside W, read for vertices 0-15 from two 256-entry tables that hold the
+union of through[v] over each byte of vertices; a set reaching past vertex
+15, in the rings of 18 and 20 variables, takes a loop over its vertices
+instead.  The domination test for v scans only the generators through v,
+and one bitset of the generators they cover settles every candidate u at
+once.  A join factor grows by flood fill over these bitsets.  A generator
+bitset becomes a list of vertex masks only where a vertex is scanned for
+domination or a core's homology is built, and a per-sweep dict keeps each
+such list.
 
 All ranks are computed by exact integer elimination that takes the
 columns in order and pivots on short rows with unit entries, so the result
@@ -162,7 +178,10 @@ class _RestrictedSweep:
             for v in range(offset, offset + 8):
                 table += [gen_set | padded[v] for gen_set in table]
             self._byte_through.append(table)
-        self._jj_memo: dict[int, int | None] = {}
+        # R(W) by vertex set W: exact values, and upper bounds found below
+        # a threshold
+        self._exact: dict[int, int] = {0: 0}
+        self._upper: dict[int, int] = {}
         self._listed: dict[int, tuple[list[int], int]] = {}
 
     def _masks(self, gen_set):
@@ -189,22 +208,12 @@ class _RestrictedSweep:
             gen_set &= ~through[low.bit_length() - 1]
         return gen_set
 
-    # -- closure of generator-support unions ------------------------------
-
-    def closure(self):
-        """Every union of generator supports."""
-        seen = set()
-        for g in self.gens:
-            seen |= {s | g for s in seen}
-            seen.add(g)
-        return seen
-
     def _gen_components(self, sigma, internal):
         """Join factors of the restriction to sigma, whose generators are
         the bitset internal: (vertex group, its generator bitset) per class
         of generators linked by shared vertices, grown from a vertex by
         flood fill over the generators through each vertex reached.  For
-        sigma a union of generator supports the groups partition sigma, so
+        sigma the union of its generators the groups partition sigma, so
         no factor is a bare simplex (cone)."""
         through = self.through
         groups = []
@@ -223,12 +232,10 @@ class _RestrictedSweep:
             sigma &= ~group
         return groups
 
-    # -- homotopy-exact reductions ----------------------------------------
-
     def _dominated(self, sigma, verts, internal):
-        """A vertex v of sigma (whose vertices are verts) dominated by
-        another vertex u, or None; internal is the generator bitset of the
-        restriction to sigma.
+        """A pair (v, u) of vertices of sigma (whose vertices are verts)
+        with v dominated by u in the restriction to sigma, or None;
+        internal is the generator bitset of that restriction.
 
         v is dominated by u when every generator g through u, with u
         swapped for v, contains a generator g2.  Such a g2 passes through v:
@@ -237,10 +244,10 @@ class _RestrictedSweep:
         through v are scanned.  For the same reason u shares no generator
         with v: for g through both, g2 would lie in g minus u.  (Were the
         generators not minimal, the narrower scan would only find fewer
-        collapses, never a wrong one.)  For such a u, g with u swapped for
-        v contains g2 exactly when g contains g2 minus v, so the test for
-        all u at once is one bitset: covers, the generators that contain
-        g2 minus v for some g2 through v."""
+        dominations, never a wrong one.)  For such a u, g with u swapped
+        for v contains g2 exactly when g contains g2 minus v, so the test
+        for all u at once is one bitset: covers, the generators that
+        contain g2 minus v for some g2 through v."""
         through = self.through
         for v in verts:
             through_v, near = self._masks(through[v] & internal)
@@ -255,46 +262,8 @@ class _RestrictedSweep:
                 covers |= containing
             for u in _bits(others):
                 if not through[u] & internal & ~covers:
-                    return v
+                    return v, u
         return None
-
-    def _reduce(self, sigma, internal):
-        """Walk sigma down by homotopy-exact reductions; internal is the
-        bitset of the generators inside sigma.
-
-        Returns (path, state, payload).  path holds every set the walk
-        passed through that the memo does not know yet; the restrictions
-        to all of them have the homotopy type of the restriction to sigma,
-        so they share its answer.  The walk stops at the first memoized
-        set.  state is 'jj' with the answer as payload when the memo or
-        the reduction settles it, or 'core' with (core, internal) when no
-        reduction applies."""
-        memo = self._jj_memo
-        through = self.through
-        path = []
-        while sigma not in memo:
-            path.append(sigma)
-            # vertices that are themselves generators never lie in a face
-            singles = internal & self.singles
-            if singles:
-                dropped = self._masks(singles)[1]
-                sigma &= ~dropped
-                internal = self._without(internal, dropped)
-                continue
-            if not internal:
-                # {emptyset} has homology in degree -1; a full simplex none
-                return path, "jj", 0 if sigma == 0 else None
-            verts = _bits(sigma)
-            for v in verts:
-                if not through[v] & internal:
-                    return path, "jj", None  # apex vertex in no generator: cone
-            v = self._dominated(sigma, verts, internal)
-            if v is None:
-                return path, "core", (sigma, internal)
-            # strong collapse: deleting a dominated vertex keeps the type
-            sigma &= ~(1 << v)
-            internal &= ~through[v]
-        return path, "jj", memo[sigma]
 
     def _max_face(self, sigma, internal):
         """Size of the largest subset of sigma containing no generator."""
@@ -333,41 +302,11 @@ class _RestrictedSweep:
                 out.append(mask)
         return out
 
-    def _jj_connected(self, sigma, internal):
-        """Max nonzero reduced-homology degree plus one of the restriction
-        to sigma with generators internal; 0 for the {emptyset} complex,
-        None when all reduced homology vanishes.  The answer is memoized
-        under every set on the reduction path.
-
-        A core the reductions stop at is split into its join factors.  Each
-        factor is itself a core (a vertex dominated in a factor is dominated
-        in the join), and by the Kuenneth formula the join's answer is the
-        sum of its factors' answers, None if any factor has none.  The
-        factors go through the memo, so a factor shared by several cores
-        is computed once."""
-        path, state, payload = self._reduce(sigma, internal)
-        if state == "jj":
-            answer = payload
-        else:
-            factors = self._gen_components(*payload)
-            if len(factors) == 1:
-                answer = self._core_jj(*payload)
-            else:
-                answer = 0
-                for group, group_internal in factors:
-                    jj = self._jj_connected(group, group_internal)
-                    if jj is None:
-                        answer = None
-                        break  # an acyclic join factor kills the join
-                    answer += jj
-        for s in path:
-            self._jj_memo[s] = answer
-        return answer
-
-    def _core_jj(self, core, internal):
-        """_jj_connected for a core that no reduction shrinks and whose
-        generators form one join factor, from the ranks of the Alexander
-        dual's boundary maps."""
+    def _core_jj(self, core, internal, floor):
+        """jj(core) when it exceeds floor, else None, from the ranks of the
+        Alexander dual's boundary maps.  core is a set that no rule before
+        the core rule shrinks or splits, and internal its generator
+        bitset."""
         internal = self._masks(internal)[0]
         m = core.bit_count()
         # the dual complex lives on the vertices that can appear in a face
@@ -403,19 +342,19 @@ class _RestrictedSweep:
             ranks[k] = _rank(columns)
             return ranks[k]
 
-        mf = self._max_face(core, internal)
-        h_ub = min(m - 2, mf - 1)
-        answer = None
-        for h in range(h_ub, -1, -1):
+        # homology in degree h needs a face of size h + 1 and h <= m - 2;
+        # only h >= floor can beat the floor, so with m - 2 <= floor the
+        # one degree left needs no largest face
+        h_ub = m - 2
+        if h_ub > floor:
+            h_ub = min(h_ub, self._max_face(core, internal) - 1)
+        for h in range(h_ub, max(floor, 0) - 1, -1):
             hd = m - h - 3  # dual homology degree
-            if hd < -1:
-                continue
             if hd == -1:
                 # dual complex is {emptyset} iff the only internal generator
                 # covers the whole core
                 if not dual_verts:
-                    answer = h + 1
-                    break
+                    return h + 1
                 continue
             f_mid = len(faces_of(hd + 1))
             if f_mid == 0:
@@ -424,23 +363,95 @@ class _RestrictedSweep:
             if betti < 0:
                 raise RuntimeError("negative Betti number: rank computation bug")
             if betti > 0:
-                answer = h + 1
+                return h + 1
+        return None
+
+    # -- the recursion -----------------------------------------------------
+
+    def _apexes(self, sigma, internal):
+        """The vertices of sigma in no generator of the bitset internal:
+        each is the apex of a cone in every restriction through it."""
+        through = self.through
+        apexes = 0
+        for v in _bits(sigma):
+            if not through[v] & internal:
+                apexes |= 1 << v
+        return apexes
+
+    def _solve(self, sigma, internal, floor):
+        """R(sigma), the largest jj over the subsets of sigma, when it
+        exceeds floor; otherwise an upper bound on it that is at most
+        floor.  internal is the generator bitset of the restriction to
+        sigma.  Every set the singles and cone-apex rules pass through has
+        the same R, so the answer is kept under each of them."""
+        exact, upper = self._exact, self._upper
+        path = []
+        while sigma not in exact:
+            answer = upper.get(sigma, floor + 1)
+            if answer <= floor:
                 break
+            path.append(sigma)
+            # singles: a vertex that is itself a generator lies in no face
+            singles = internal & self.singles
+            if singles:
+                dropped = self._masks(singles)[1]
+                sigma &= ~dropped
+                internal = self._without(internal, dropped)
+                continue
+            apexes = self._apexes(sigma, internal)
+            if apexes:
+                sigma &= ~apexes
+                continue
+            verts = _bits(sigma)
+            answer = len(verts) - 1  # jj(tau) <= |tau| - 1
+            if answer > floor:
+                answer = self._branch(sigma, verts, internal, floor)
+            break
+        else:
+            answer = exact[sigma]
+        memo = exact if answer > floor or sigma in exact else upper
+        for s in path:
+            memo[s] = answer
         return answer
 
-    def regularity(self):
+    def _branch(self, sigma, verts, internal, floor):
+        """_solve on a set that the singles and cone-apex rules leave as
+        it is and whose bound |sigma| - 1 exceeds floor: the dominated
+        pair, join and core rules, in that order."""
+        through = self.through
+        solve = self._solve
+        pair = self._dominated(sigma, verts, internal)
+        if pair is not None:
+            v, u = pair
+            first = solve(sigma & ~(1 << v), internal & ~through[v], floor)
+            second = solve(sigma & ~(1 << u), internal & ~through[u],
+                           max(floor, first))
+            return max(first, second)
+        factors = self._gen_components(sigma, internal)
+        if len(factors) > 1:
+            # each factor must beat floor less the others' current bounds:
+            # a memo's, or else |group| - 1
+            exact, upper = self._exact, self._upper
+            bounds = [exact.get(group, upper.get(group, group.bit_count() - 1))
+                      for group, _ in factors]
+            total = sum(bounds)
+            for i, (group, group_internal) in enumerate(factors):
+                if total <= floor:
+                    break
+                rest = total - bounds[i]
+                bounds[i] = solve(group, group_internal, floor - rest)
+                total = rest + bounds[i]
+            return total
         best = 0
+        for v in verts:
+            best = max(best, solve(sigma & ~(1 << v), internal & ~through[v],
+                                   max(floor, best)))
+        top = self._core_jj(sigma, internal, max(floor, best))
+        return best if top is None else top
+
+    def regularity(self):
         everything = (1 << len(self.gens)) - 1
-        span = self._masks(everything)[1]
-        sigmas = sorted(self.closure(), key=lambda s: (-s.bit_count(), s))
-        for sigma in sigmas:
-            if sigma.bit_count() - 1 <= best:
-                break  # the sets come largest first
-            jj = self._jj_connected(
-                sigma, self._without(everything, span & ~sigma))
-            if jj is not None:
-                best = max(best, jj)
-        return best
+        return self._solve(self._masks(everything)[1], everything, -1)
 
 
 def hochster_regularity(ideal: MonomialIdeal, max_vertices: int = HOCHSTER_MAX_VERTICES) -> int:

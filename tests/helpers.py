@@ -114,6 +114,23 @@ def _fraction_rank(matrix):
     return rank
 
 
+def brute_dominates(gen_supports, tau, v, u):
+    """True when v is dominated by u in the complex restricted to tau (the
+    subsets of tau that contain no generator): every face through v stays
+    a face with u added.  Checked over every subset of tau."""
+    gens = [frozenset(s) for s in gen_supports]
+
+    def is_face(f):
+        return not any(gen <= f for gen in gens)
+
+    for k in range(1, len(tau) + 1):
+        for sub in combinations(sorted(tau), k):
+            face = frozenset(sub)
+            if v in face and is_face(face) and not is_face(face | {u}):
+                return False
+    return True
+
+
 def naive_monomial_regularity(gen_supports, nverts):
     """Regularity of the quotient by a squarefree monomial ideal: full
     2^nverts sweep with dense rational homology."""

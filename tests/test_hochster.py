@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,9 +7,9 @@ from beireg import graphs as gr
 from beireg import hochster
 from beireg.groebner import (MonomialIdeal, PolynomialContext, initial_ideal,
                              lex_groebner)
-from beireg.hochster import _rank, _RestrictedSweep, hochster_regularity
+from beireg.hochster import _bits, _rank, _RestrictedSweep, hochster_regularity
 
-from helpers import _fraction_rank, naive_monomial_regularity
+from helpers import _fraction_rank, brute_dominates, naive_monomial_regularity
 
 
 def ideal_of(g):
@@ -20,6 +21,14 @@ def mask(*verts):
     for v in verts:
         out |= 1 << v
     return out
+
+
+def random_ideal(rng, nverts, max_gens, sizes):
+    """Up to max_gens random generators on nverts vertices, each of a size
+    drawn from sizes; from_supports keeps the inclusion-minimal ones."""
+    gens = {mask(*rng.sample(range(nverts), min(rng.choice(sizes), nverts)))
+            for _ in range(rng.randint(1, max_gens))}
+    return MonomialIdeal.from_supports(nverts, gens)
 
 
 class TestHollowSimplex:
@@ -72,19 +81,54 @@ class TestHochsterRegularity:
                 expected = naive_monomial_regularity(ideal.supports(), 2 * n)
                 assert hochster_regularity(ideal) == expected, g.edges()
 
-    def test_matches_naive_on_random_ideals(self):
-        rng = random.Random(41)
-        for _ in range(60):
-            nverts = rng.randint(2, 8)
-            gens = set()
-            for _ in range(rng.randint(1, 6)):
-                size = rng.randint(1, min(3, nverts))
-                gens.add(mask(*rng.sample(range(nverts), size)))
-            ideal = MonomialIdeal.from_supports(nverts, gens)
-            if not ideal.gens:
-                continue
+    def test_matches_naive_on_random_ideals(self, monkeypatch):
+        """The recursion against the full 2^n reference on random ideals of
+        up to 8 vertices and 10 generators of 1 to 4 vertices, singletons
+        rare; every other draw has 3-vertex generators only on 5 to 7
+        vertices, where a core's subsets often beat the core itself.  A
+        spy on each rule's method counts its firings, and every rule must
+        fire somewhere in the draws: singles (the only caller of _without
+        in a sweep), cone apexes, a dominated pair, a join of several
+        factors, and the homology of a core, on some core of at least 5
+        vertices."""
+        fired = Counter()
+        core_sizes = set()
+
+        def spy(name, fires):
+            original = getattr(_RestrictedSweep, name)
+
+            def counted(self, *args):
+                out = original(self, *args)
+                if fires(out):
+                    fired[name] += 1
+                return out
+
+            monkeypatch.setattr(_RestrictedSweep, name, counted)
+
+        spy("_without", lambda out: True)
+        spy("_apexes", bool)
+        spy("_dominated", lambda out: out is not None)
+        spy("_gen_components", lambda out: len(out) > 1)
+        core_jj = _RestrictedSweep._core_jj
+
+        def sized_core_jj(self, core, internal, floor):
+            core_sizes.add(core.bit_count())
+            return core_jj(self, core, internal, floor)
+
+        monkeypatch.setattr(_RestrictedSweep, "_core_jj", sized_core_jj)
+        rng = random.Random(59)
+        for trial in range(120):
+            if trial % 2:
+                nverts = rng.randint(2, 8)
+                ideal = random_ideal(rng, nverts, 10, (1, 2, 2, 3, 3, 3, 4, 4))
+            else:
+                nverts = rng.randint(5, 7)
+                ideal = random_ideal(rng, nverts, 10, (3,))
             expected = naive_monomial_regularity(ideal.supports(), nverts)
             assert hochster_regularity(ideal) == expected, ideal.supports()
+        assert set(fired) == {"_without", "_apexes", "_dominated",
+                              "_gen_components"}, fired
+        assert max(core_sizes) >= 5, core_sizes
 
     def test_generator_leaving_sigma_by_one_vertex(self):
         # the value 3 comes from sigma = {0,1,2,4,5} alone; the generator
@@ -127,6 +171,56 @@ class TestHochsterRegularity:
             if offset <= 8:
                 assert sum(parts) == naive_monomial_regularity(
                     whole.supports(), offset), blocks
+
+
+def test_core_subsets_count():
+    """The restriction to all five vertices is a core with no homology,
+    and the answer 2 comes from its subsets alone."""
+    supports = [(1, 2, 3), (0, 1, 4), (0, 3, 4), (2, 3, 4)]
+    ideal = MonomialIdeal.from_supports(5, [mask(*s) for s in supports])
+    sweep = _RestrictedSweep(list(ideal.gens))
+    everything = (1 << len(ideal.gens)) - 1
+    core = mask(0, 1, 2, 3, 4)
+    assert sweep._dominated(core, _bits(core), everything) is None
+    assert len(sweep._gen_components(core, everything)) == 1
+    assert sweep._core_jj(core, everything, -1) is None
+    assert naive_monomial_regularity(supports, 5) == 2
+    assert hochster_regularity(ideal) == 2
+
+
+def test_domination_is_inherited():
+    """Whenever _dominated(W, ...) returns (v, u), v stays dominated by u
+    in the restriction to every tau with {u, v} inside tau inside W, checked
+    by listing the faces.  W is a random set of generator vertices less its
+    singletons and cone apexes, as the dominated-pair rule sees it.  The
+    face check itself is anchored first: with the one generator {0, 1} on
+    3 vertices, 0 is dominated by 2 and 2 not by 0."""
+    assert brute_dominates([(0, 1)], {0, 1, 2}, 0, 2)
+    assert not brute_dominates([(0, 1)], {0, 1, 2}, 2, 0)
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(150):
+        nverts = rng.randint(3, 7)
+        ideal = random_ideal(rng, nverts, 8, (1, 2, 3))
+        sweep = _RestrictedSweep(list(ideal.gens))
+        everything = (1 << len(ideal.gens)) - 1
+        span = sweep._masks(everything)[1]
+        singles = sweep._masks(sweep.singles)[1]
+        for _ in range(8):
+            w = rng.getrandbits(nverts) & span & ~singles
+            internal = sweep._without(everything, span & ~w)
+            w &= ~sweep._apexes(w, internal)
+            pair = sweep._dominated(w, _bits(w), internal)
+            if pair is None:
+                continue
+            v, u = pair
+            assert v != u and w >> v & 1 and w >> u & 1
+            for _ in range(4):
+                tau = w & rng.getrandbits(nverts) | 1 << u | 1 << v
+                assert brute_dominates(ideal.supports(), _bits(tau), v, u), (
+                    ideal.supports(), w, tau, v, u)
+                checked += 1
+    assert checked >= 200, checked
 
 
 def test_without_matches_vertex_loop():

@@ -79,6 +79,16 @@ class TestOracle:
                                     (5, 6), (6, 7)])
         assert rg.oracle_reg(g) == 5
 
+    def test_hard_core_class(self, monkeypatch):
+        # a random connected 8-vertex graph with 48 generators in its
+        # initial ideal, among the oracle's slowest classes; most of its
+        # sweep is the homology of large cores
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        g = gr.Graph.from_edges(8, [(0, 4), (0, 5), (0, 7), (1, 2), (1, 3),
+                                    (1, 4), (1, 6), (2, 5), (2, 6), (2, 7),
+                                    (3, 4), (3, 5), (4, 6), (4, 7)])
+        assert rg.oracle_reg(g) == 5
+
     def test_gate(self):
         with pytest.raises(rg.OracleGateError):
             rg.oracle_reg(gr.path_graph(9))
