@@ -75,10 +75,8 @@ def cmd_recognize(args):
     result = rec.recognize_sig(g)
     payload = {"recognized": result.is_sig}
     if result.families is not None:
-        payload["families"] = [
-            {"ell": fam.ell,
-             "I": [[list(seg) for seg in u.segments] for u in fam.I]}
-            for fam in result.families]
+        payload["families"] = [fm.family_to_jsonable(fam)
+                               for fam in result.families]
     _emit(payload, args)
     return EXIT_OK if result.is_sig else EXIT_NEGATIVE
 

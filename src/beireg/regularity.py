@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graphs as gr
-from .groebner import (GROEBNER_MAX_VARIABLES, PolynomialContext,
-                       initial_ideal, lex_groebner)
+from .groebner import GROEBNER_MAX_VARIABLES, initial_ideal, lex_groebner
 from .hochster import hochster_regularity
 
 ORACLE_MAX_N_DEFAULT = 8
@@ -96,12 +95,13 @@ _oracle_memo: dict = {}
 
 @lru_cache(maxsize=16)
 def _initial_ideal(sub):
-    """Squarefree initial ideal of the binomial edge ideal of sub.
+    """Squarefree initial ideal of the binomial edge ideal of sub: the lead
+    masks of its closed-form lex basis over the 2n variables.
 
     The few most recent labelled graphs are cached, so verification's
     squarefree check reads the ideal the oracle has just built for the same
     component instead of computing its Groebner basis again."""
-    return initial_ideal(lex_groebner(sub), PolynomialContext(sub.n))
+    return initial_ideal(lex_groebner(sub), 2 * sub.n)
 
 
 def _oracle_connected(sub):
@@ -112,7 +112,8 @@ def _oracle_connected(sub):
            else (sub.n, tuple(sub.edges())))
     if key in _oracle_memo:
         return _oracle_memo[key]
-    value = hochster_regularity(_initial_ideal(sub), max_vertices=2 * sub.n)
+    value = hochster_regularity(_initial_ideal(sub),
+                                max_vertices=GROEBNER_MAX_VARIABLES)
     _oracle_memo[key] = value
     return value
 

@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration and dense
 Fraction arithmetic, sharing no code with the implementations under test.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -11,20 +12,23 @@ from itertools import combinations, permutations
 # ---------------------------------------------------------------------------
 # graph oracles
 
+def _is_induced_path(g, seq):
+    """True when consecutive vertices of seq are adjacent in g and no
+    other pair is."""
+    for i, a in enumerate(seq):
+        for j in range(i + 1, len(seq)):
+            adjacent = g.has_edge(a, seq[j])
+            if j == i + 1 and not adjacent:
+                return False
+            if j > i + 1 and adjacent:
+                return False
+    return True
+
+
 def brute_longest_induced_path(g):
     """(length, lexicographically least sequence) by enumerating every
     injective vertex sequence."""
     best = (0, (0,))
-
-    def is_induced_path(seq):
-        for i, a in enumerate(seq):
-            for j in range(i + 1, len(seq)):
-                adjacent = g.has_edge(a, seq[j])
-                if j == i + 1 and not adjacent:
-                    return False
-                if j > i + 1 and adjacent:
-                    return False
-        return True
 
     def extend(seq):
         nonlocal best
@@ -32,7 +36,7 @@ def brute_longest_induced_path(g):
         if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
             best = cand
         for v in range(g.n):
-            if v not in seq and is_induced_path(seq + (v,)):
+            if v not in seq and _is_induced_path(g, seq + (v,)):
                 extend(seq + (v,))
 
     for s in range(g.n):
@@ -173,7 +177,43 @@ def naive_monomial_regularity(gen_supports, nverts):
 
 
 # ---------------------------------------------------------------------------
-# independent Groebner-ness check (dict polynomials over Fractions)
+# Groebner oracles.  The library writes a monomial as a variable bitmask
+# (bit k: x_{k+1} for k < n, y_{k-n+1} for k >= n); the checks below work
+# on exponent tuples (position k: variable k) and share no arithmetic
+# with it.
+
+def brute_admissible_basis(g):
+    """The set of (lead, trail) masks of u_pi * (x_i y_j - x_j y_i) over
+    the admissible paths pi of g, found by enumerating every injective
+    vertex sequence: an induced path from i to j with i < j whose interior
+    lies outside [i, j].  u_pi is the product of x_v over interior v > j
+    and of y_v over interior v < i."""
+    n = g.n
+    out = set()
+    for k in range(2, n + 1):
+        for seq in permutations(range(n), k):
+            i, j, interior = seq[0], seq[-1], seq[1:-1]
+            if i > j or any(i <= v <= j for v in interior):
+                continue
+            if not _is_induced_path(g, seq):
+                continue
+            u = sum(1 << v if v > j else 1 << n + v for v in interior)
+            out.add((u | 1 << i | 1 << n + j, u | 1 << j | 1 << n + i))
+    return out
+
+
+def exponents(mask, nvars):
+    """Exponent tuple of a variable bitmask, variable 0 first."""
+    return tuple(mask >> k & 1 for k in range(nvars))
+
+
+_Term = namedtuple("_Term", "lead trail")
+
+
+def _as_exponents(basis, nvars):
+    return [_Term(exponents(lead, nvars), exponents(trail, nvars))
+            for lead, trail in basis]
+
 
 def _poly_sub(p, q):
     out = dict(p)
@@ -212,8 +252,11 @@ def _reduce_full(p, basis_polys):
         p = _poly_sub(p, _poly_scale(b, quot, p[mono] / b[bl]))
 
 
-def assert_is_groebner(basis):
-    """Every S-polynomial of the basis must reduce to zero against it."""
+def assert_is_groebner(basis, nvars):
+    """Every S-polynomial of the basis, (lead, trail) masks over nvars
+    variables, must reduce to zero against it (dict polynomials over
+    Fractions)."""
+    basis = _as_exponents(basis, nvars)
     polys = [{b.lead: Fraction(1), b.trail: Fraction(-1)} for b in basis]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -227,12 +270,15 @@ def assert_is_groebner(basis):
             assert not remainder, f"S-polynomial of {i},{j} does not reduce to zero"
 
 
-def reference_certify(basis):
-    """True when the S-polynomial of every pair of basis elements whose
-    leads share a variable reduces to zero against the basis, by tuple-wise
-    monomial arithmetic: each difference is reduced at its lead by the
-    first element in list order whose lead divides it, and fails once no
-    element divides its lead."""
+def reference_certify(basis, nvars):
+    """True when the S-polynomial of every pair of basis elements, (lead,
+    trail) masks over nvars variables, whose leads share a variable
+    reduces to zero against the basis, by tuple-wise monomial arithmetic:
+    each difference is reduced at its lead by the first element in list
+    order whose lead divides it, and fails once no element divides its
+    lead."""
+    basis = _as_exponents(basis, nvars)
+
     def divides(a, b):
         return all(x <= y for x, y in zip(a, b))
 

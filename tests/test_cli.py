@@ -87,9 +87,10 @@ class TestRecognize:
     def test_sig(self, capsys, tmp_path):
         f = tmp_path / "cat.edges"
         f.write_text("n 6\n0 1\n1 2\n2 3\n3 4\n1 5\n2 5\n")
-        code, out, _ = run(capsys, "recognize", "sig", str(f))
+        code, out, _ = run(capsys, "recognize", "sig", str(f), "--compact")
         assert code == 0
-        assert json.loads(out)["recognized"] is True
+        assert out == ('{"recognized":true,'
+                       '"families":[{"ell":4,"I":[[[2,3]]]}]}\n')
 
 
 class TestGen:

@@ -1,30 +1,40 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from beireg import graphs as gr
-from beireg.groebner import (Binomial, MonomialIdeal, NonBinomialError,
-                             NonSquarefreeLeadError, PolynomialContext,
-                             _certify, initial_ideal, lex_groebner)
+from beireg.groebner import (MonomialIdeal, NonBinomialError, _certify,
+                             initial_ideal, lex_groebner)
 
-from helpers import assert_is_groebner, reference_certify
+from helpers import (assert_is_groebner, brute_admissible_basis, exponents,
+                     reference_certify)
 
 
 def edge_binomial(n, i, j):
-    """x_i y_j - x_j y_i on 2n variables, 0-based vertex ids."""
-    lead = [0] * (2 * n)
-    trail = [0] * (2 * n)
-    lead[i] = lead[n + j] = 1
-    trail[j] = trail[n + i] = 1
-    return Binomial(tuple(lead), tuple(trail))
+    """x_i y_j - x_j y_i as (lead, trail) masks over 2n variables,
+    0-based vertex ids."""
+    return (1 << i | 1 << n + j, 1 << j | 1 << n + i)
+
+
+def basis_strings(g):
+    """The lex basis of g written out, x's before y's in each monomial."""
+    names = ([f"x{v}" for v in range(1, g.n + 1)]
+             + [f"y{v}" for v in range(1, g.n + 1)])
+
+    def monomial(mask):
+        return "*".join(name for k, name in enumerate(names) if mask >> k & 1)
+
+    return sorted(f"{monomial(lead)} - {monomial(trail)}"
+                  for lead, trail in lex_groebner(g))
 
 
 class TestBinomialEdgeIdeal:
     """The edges are the admissible paths of length 1."""
 
     def test_single_edge(self):
-        assert edge_binomial(2, 0, 1).to_string(PolynomialContext(2)) == \
-            "x1*y2 - x2*y1"
+        assert basis_strings(gr.complete_graph(2)) == ["x1*y2 - x2*y1"]
 
     def test_edgeless(self):
         assert lex_groebner(gr.empty_graph(3)) == []
@@ -32,25 +42,22 @@ class TestBinomialEdgeIdeal:
     def test_path(self):
         # the path 1 - 0 - 2 adds the admissible path 1 -> 2, whose
         # interior vertex 0 lies below both ends and contributes y1
-        ctx = PolynomialContext(3)
-        gb = lex_groebner(gr.Graph.from_edges(3, [(0, 1), (0, 2)]))
-        assert sorted(b.to_string(ctx) for b in gb) == [
+        assert basis_strings(gr.Graph.from_edges(3, [(0, 1), (0, 2)])) == [
             "x1*y2 - x2*y1", "x1*y3 - x3*y1", "x2*y1*y3 - x3*y1*y2"]
 
 
-def _mutants(basis, rng, tries=3):
+def _mutants(basis, nvars, rng, tries=3):
     """Seeded near-misses of a basis: one element dropped, and one trail
-    replaced by a rearrangement of its exponents that stays below the
-    lead."""
+    replaced by a permutation of its bits that stays below the lead."""
     out = []
     for _ in range(tries):
         k = rng.randrange(len(basis))
         out.append(basis[:k] + basis[k + 1:])
-        b = basis[k]
-        trail = rng.sample(b.trail, len(b.trail))
-        if tuple(trail) != b.trail and tuple(trail) < b.lead:
-            out.append(basis[:k] + [Binomial(b.lead, tuple(trail))]
-                       + basis[k + 1:])
+        lead, trail = basis[k]
+        perm = rng.sample(range(nvars), nvars)
+        moved = sum(1 << perm[v] for v in range(nvars) if trail >> v & 1)
+        if moved != trail and exponents(moved, nvars) < exponents(lead, nvars):
+            out.append(basis[:k] + [(lead, moved)] + basis[k + 1:])
     return out
 
 
@@ -60,15 +67,11 @@ class TestLexGroebner:
 
     def test_path3_basis_frozen(self):
         # the only admissible paths are the two edges
-        ctx = PolynomialContext(3)
-        gb = lex_groebner(gr.path_graph(3))
-        assert sorted(b.to_string(ctx) for b in gb) == [
+        assert basis_strings(gr.path_graph(3)) == [
             "x1*y2 - x2*y1", "x2*y3 - x3*y2"]
 
     def test_c4_basis_frozen(self):
-        ctx = PolynomialContext(4)
-        gb = lex_groebner(gr.cycle_graph(4))
-        assert sorted(b.to_string(ctx) for b in gb) == [
+        assert basis_strings(gr.cycle_graph(4)) == [
             "x1*x4*y3 - x3*x4*y1",
             "x1*y2 - x2*y1",
             "x1*y4 - x4*y1",
@@ -77,15 +80,20 @@ class TestLexGroebner:
             "x3*y4 - x4*y3",
         ]
 
-    def test_c4_leads_squarefree(self):
-        gb = lex_groebner(gr.cycle_graph(4))
-        assert all(all(e <= 1 for e in b.lead) for b in gb)
+    def test_matches_admissible_path_enumeration(self):
+        # the whole closed-form basis, against a brute force over every
+        # injective vertex sequence
+        for n in range(2, 7):
+            for g in gr.enumerate_graphs(n, connected_only=True):
+                gb = lex_groebner(g)
+                assert len(set(gb)) == len(gb), g.edges()
+                assert set(gb) == brute_admissible_basis(g), g.edges()
 
     def test_zero_reduction_certificate(self):
         for n in range(2, 6):
             for g in gr.enumerate_graphs(n, connected_only=True):
                 gb = lex_groebner(g)
-                assert_is_groebner(gb)
+                assert_is_groebner(gb, 2 * n)
                 for u, v in g.edges():
                     assert edge_binomial(n, u, v) in gb, g.edges()
 
@@ -93,23 +101,23 @@ class TestLexGroebner:
         # C4's edge binomials generate J_G but are not a Groebner basis
         edges = [edge_binomial(4, u, v) for u, v in gr.cycle_graph(4).edges()]
         with pytest.raises(NonBinomialError):
-            _certify(edges)
+            _certify(edges, 8)
 
     def test_certificate_matches_reference(self):
         # every connected class with n <= 5, and seeded mutants of its
         # basis: one element dropped, one trail replaced by another
-        # monomial of its degree below its lead, each also shuffled out
-        # of lead order
+        # squarefree monomial of its degree below its lead, each also
+        # shuffled out of lead order
         rng = random.Random(59)
         verdicts = {True: 0, False: 0}
         for n in range(2, 6):
             for g in gr.enumerate_graphs(n, connected_only=True):
                 gb = lex_groebner(g)
-                for basis in [gb, *_mutants(gb, rng)]:
+                for basis in [gb, *_mutants(gb, 2 * n, rng)]:
                     for order in (basis, rng.sample(basis, len(basis))):
-                        expected = reference_certify(order)
+                        expected = reference_certify(order, 2 * n)
                         try:
-                            _certify(order)
+                            _certify(order, 2 * n)
                             accepted = True
                         except NonBinomialError:
                             accepted = False
@@ -117,11 +125,16 @@ class TestLexGroebner:
                         verdicts[accepted] += 1
         assert min(verdicts.values()) > 50, verdicts
 
-    def test_certificate_requires_squarefree_homogeneous(self):
-        with pytest.raises(NonSquarefreeLeadError):
-            _certify([Binomial((2, 0), (1, 1))])
+    def test_certificate_requires_lead_above_trail(self):
+        # x2*y1 - x1*y2: the edge binomial of K2 the wrong way round
+        lead, trail = edge_binomial(2, 0, 1)
         with pytest.raises(ValueError):
-            _certify([Binomial((1, 0), (0, 2))])
+            _certify([(trail, lead)], 4)
+
+    def test_certificate_requires_homogeneous(self):
+        # x1*y1 - y1 on one vertex's two variables
+        with pytest.raises(ValueError):
+            _certify([(0b11, 0b10)], 2)
 
     def test_reduced(self):
         # no lead divides another lead; no tail divisible by any lead
@@ -130,9 +143,8 @@ class TestLexGroebner:
             for b in gb:
                 for other in gb:
                     if other is not b:
-                        assert not all(
-                            x <= y for x, y in zip(other.lead, b.lead))
-                    assert not all(x <= y for x, y in zip(other.lead, b.trail))
+                        assert other[0] & b[0] != other[0]
+                    assert other[0] & b[1] != other[0]
 
     def test_variable_gate(self):
         with pytest.raises(ValueError):
@@ -145,24 +157,15 @@ class TestLexGroebner:
 
 class TestInitialIdeal:
     def test_single_edge(self):
-        ctx = PolynomialContext(2)
-        ideal = initial_ideal(lex_groebner(gr.complete_graph(2)), ctx)
+        ideal = initial_ideal(lex_groebner(gr.complete_graph(2)), 4)
         assert ideal.supports() == [(0, 3)]  # {x1, y2}
 
     def test_path3(self):
-        ctx = PolynomialContext(3)
         gb = lex_groebner(gr.path_graph(3))
-        assert initial_ideal(gb, ctx).supports() == [(0, 4), (1, 5)]
+        assert initial_ideal(gb, 6).supports() == [(0, 4), (1, 5)]
 
     def test_empty(self):
-        ctx = PolynomialContext(2)
-        assert initial_ideal([], ctx).gens == ()
-
-    def test_non_squarefree_rejected(self):
-        ctx = PolynomialContext(1)
-        square = Binomial((2, 0), (0, 1))
-        with pytest.raises(NonSquarefreeLeadError):
-            initial_ideal([square], ctx)
+        assert initial_ideal([], 4).gens == ()
 
     def test_minimalization(self):
         ideal = MonomialIdeal.from_supports(4, [0b0011, 0b0111, 0b1100])
@@ -186,7 +189,14 @@ class TestInitialIdeal:
             MonomialIdeal.from_supports(3, [0b011, 0])
 
 
-class TestBinomialType:
-    def test_order_enforced(self):
-        with pytest.raises(ValueError):
-            Binomial((0, 1), (1, 0))
+def test_traced_layer_names_resolve():
+    # the benchmark's tracer wraps these functions by name; a rename or
+    # deletion would otherwise show only when a traced run starts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.LAYERS.items():
+        layer = importlib.import_module(f"beireg.{module}")
+        for name in names:
+            assert callable(getattr(layer, name, None)), f"beireg.{module}.{name}"

@@ -5,15 +5,14 @@ import pytest
 
 from beireg import graphs as gr
 from beireg import hochster
-from beireg.groebner import (MonomialIdeal, PolynomialContext, initial_ideal,
-                             lex_groebner)
+from beireg.groebner import MonomialIdeal, initial_ideal, lex_groebner
 from beireg.hochster import _bits, _rank, _RestrictedSweep, hochster_regularity
 
 from helpers import _fraction_rank, brute_dominates, naive_monomial_regularity
 
 
 def ideal_of(g):
-    return initial_ideal(lex_groebner(g), PolynomialContext(g.n))
+    return initial_ideal(lex_groebner(g), 2 * g.n)
 
 
 def mask(*verts):
