@@ -8,6 +8,13 @@ by branch-and-bound over ordered partitions) are deliberate: every caller
 in this package works at desk scale (n <= 13), where exactness beats
 asymptotics.
 
+Each of components, induced subgraphs, maximal cliques and longest induced
+paths has one kernel that works on neighbour masks: a tuple whose entry v
+has bit u set iff u ~ v, over the vertices 0..k-1.  The structural solver
+calls the kernels on masks directly; `components`, `induced_subgraph`,
+`maximal_cliques` and `longest_induced_path` wrap them for a `Graph`, whose
+masks `Graph.neighbor_masks` computes once.
+
 The invariants that add up over components (ell, the clique bounds, the
 regularity itself) are sums over `component_graphs`, the one per-component
 view.  A connected graph is its own only component and is returned as
@@ -17,6 +24,7 @@ itself, not rebuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,13 @@ class Graph:
         return v in self.adj[u]
 
     def neighbor_masks(self):
-        """Per-vertex neighborhoods as bitmasks (internal workhorse)."""
-        return [sum(1 << u for u in nbrs) for nbrs in self.adj]
+        """Per-vertex neighborhoods as a tuple of bitmasks, the kernels'
+        input; computed once per graph."""
+        return self._masks
+
+    @cached_property
+    def _masks(self):
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
 
 @dataclass(frozen=True)
@@ -143,27 +156,74 @@ def relabel(g, perm):
 
 
 # ---------------------------------------------------------------------------
-# components and induced subgraphs
+# mask kernels and their Graph wrappers
+
+def _byte_bits(offset):
+    """Entry b: the set bit positions of the byte b, plus offset."""
+    table = [()]
+    for v in range(offset, offset + 8):
+        table += [prefix + (v,) for prefix in table]
+    return table
+
+
+_BYTE_BITS, _HIGH_BYTE_BITS = _byte_bits(0), _byte_bits(8)
+
+
+def bits(mask):
+    """The set bit positions of a non-negative mask, as an increasing
+    tuple; below 2^16 by two byte-table lookups."""
+    if mask < 0x10000:
+        return _BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8]
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def component_masks(nb, alive):
+    """The connected components of the subgraph induced on the bits of
+    alive, by flood fill, as vertex masks ordered by least vertex."""
+    out = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= nb[low.bit_length() - 1]
+            frontier = reach & alive & ~comp
+            comp |= frontier
+        out.append(comp)
+        alive &= ~comp
+    return out
+
+
+def induced_masks(nb, keep):
+    """The neighbour masks of the subgraph induced on the bits of keep, its
+    vertices renumbered 0..k-1 in increasing order: each dropped bit,
+    highest first, is squeezed out of every kept mask."""
+    gaps = []
+    drop = ~keep & ((1 << len(nb)) - 1)
+    while drop:
+        high = 1 << drop.bit_length() - 1
+        drop ^= high
+        gaps.append(high - 1)
+    out = []
+    for v, m in enumerate(nb):
+        if keep >> v & 1:
+            m &= keep
+            for low in gaps:
+                m = (m & low) | ((m >> 1) & ~low)
+            out.append(m)
+    return tuple(out)
+
 
 def components(g):
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [bits(c) for c in component_masks(g.neighbor_masks(), (1 << g.n) - 1)]
 
 
 def is_connected(g):
@@ -183,11 +243,10 @@ def induced_subgraph(g, vertices):
             raise ValueError(f"vertex {v} out of range")
     if len(old_ids) == g.n:
         return g, old_ids
-    index = {v: i for i, v in enumerate(old_ids)}
-    edges = [(index[u], index[v]) for u, v in g.edges()
-             if u in index and v in index]
+    masks = induced_masks(g.neighbor_masks(), sum(1 << v for v in old_ids))
     labels = tuple(g.labels[v] for v in old_ids) if g.labels is not None else None
-    return Graph.from_edges(len(old_ids), edges, labels), old_ids
+    return Graph(len(old_ids), tuple(frozenset(bits(m)) for m in masks),
+                 labels), old_ids
 
 
 def component_graphs(g):
@@ -197,13 +256,38 @@ def component_graphs(g):
     return [induced_subgraph(g, comp) for comp in components(g)]
 
 
-def delete_vertex(g, v):
-    sub, _ = induced_subgraph(g, [u for u in range(g.n) if u != v])
-    return sub
+def induced_path(nb):
+    """Longest induced path of a connected graph given by its neighbour
+    masks, by exhaustive DFS: (length, vertex sequence).
 
+    The DFS extends each sequence by its candidates in increasing order, so
+    it meets sequences in lexicographic order; keeping only strictly longer
+    ones keeps the least sequence of the greatest length.  A branch is cut
+    when it cannot beat the best length: beyond its next vertex (a
+    neighbour of the last), a path can only use vertices that are off the
+    path and adjacent to none of it."""
+    full = (1 << len(nb)) - 1
+    seq = [0] * len(nb)
+    best = [0, (0,)]
 
-# ---------------------------------------------------------------------------
-# longest induced paths
+    def extend(depth, last, visited, earlier):
+        seq[depth] = last
+        if depth > best[0]:
+            best[0], best[1] = depth, tuple(seq[:depth + 1])
+        free = full & ~(visited | earlier)
+        cand = nb[last] & free
+        if cand and depth + 1 + (free & ~nb[last]).bit_count() > best[0]:
+            earlier |= nb[last]
+            depth += 1
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                extend(depth, low.bit_length() - 1, visited | low, earlier)
+
+    for s in range(len(nb)):
+        extend(0, s, 1 << s, 0)
+    return best[0], best[1]
+
 
 def longest_induced_path(g):
     """Longest induced path of a connected graph by exhaustive DFS.
@@ -216,31 +300,7 @@ def longest_induced_path(g):
         raise ValueError("graph has no vertices")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    nb = g.neighbor_masks()
-    best_len = 0
-    best_seq = (0,)
-
-    def consider(seq):
-        nonlocal best_len, best_seq
-        length = len(seq) - 1
-        if length > best_len or (length == best_len and seq < best_seq):
-            best_len = length
-            best_seq = seq
-
-    def extend(seq, visited, adj_earlier):
-        last = seq[-1]
-        cand = nb[last] & ~visited & ~adj_earlier
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            seq2 = seq + (w,)
-            consider(seq2)
-            extend(seq2, visited | (1 << w), adj_earlier | nb[last])
-
-    for s in range(g.n):
-        consider((s,))
-        extend((s,), 1 << s, 0)
-    return best_len, best_seq
+    return induced_path(g.neighbor_masks())
 
 
 def ell(g):
@@ -252,15 +312,10 @@ def ell(g):
 # ---------------------------------------------------------------------------
 # cliques
 
-def maximal_cliques(g):
-    """All inclusion-maximal cliques via pivoting Bron-Kerbosch.
-
-    Each clique is a sorted tuple and the list is sorted lexicographically.
-    An isolated vertex yields a singleton clique.
-    """
-    if g.n == 0:
-        return []
-    nb = g.neighbor_masks()
+def clique_masks(nb):
+    """All inclusion-maximal cliques of the graph given by its neighbour
+    masks, as vertex masks, by pivoting Bron-Kerbosch.  An isolated vertex
+    is a singleton clique."""
     found = []
 
     def bk(r, p, x):
@@ -269,32 +324,34 @@ def maximal_cliques(g):
             return
         both = p | x
         pivot, best = -1, -1
-        m = both
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cnt = bin(p & nb[u]).count("1")
+        while both:
+            low = both & -both
+            both ^= low
+            u = low.bit_length() - 1
+            cnt = (p & nb[u]).bit_count()
             if cnt > best:
                 best, pivot = cnt, u
         ext = p & ~nb[pivot]
         while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            bk(r | (1 << v), p & nb[v], x & nb[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            bk(r | low, p & nb[v], x & nb[v])
+            p &= ~low
+            x |= low
 
-    bk(0, (1 << g.n) - 1, 0)
-    cliques = []
-    for mask in found:
-        clique = []
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            clique.append(v)
-        cliques.append(tuple(clique))
-    cliques.sort()
-    return cliques
+    if nb:
+        bk(0, (1 << len(nb)) - 1, 0)
+    return found
+
+
+def maximal_cliques(g):
+    """All inclusion-maximal cliques via pivoting Bron-Kerbosch.
+
+    Each clique is a sorted tuple and the list is sorted lexicographically.
+    An isolated vertex yields a singleton clique.
+    """
+    return sorted(bits(c) for c in clique_masks(g.neighbor_masks()))
 
 
 def clique_number(g):

@@ -186,18 +186,6 @@ class MonomialIdeal:
                    if not any(o != m and o & m == o for o in masks)]
         return cls(nvars=nvars, gens=tuple(sorted(minimal)))
 
-    def supports(self):
-        """Generators as sorted variable-index tuples."""
-        out = []
-        for m in self.gens:
-            idx = []
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                idx.append(v)
-            out.append(tuple(idx))
-        return out
-
 
 def initial_ideal(basis, nvars):
     """Minimal generators of the ideal of the lead masks of a Groebner

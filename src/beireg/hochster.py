@@ -69,31 +69,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
+from .graphs import bits
 from .groebner import MonomialIdeal
 
 HOCHSTER_MAX_VERTICES = 16
-
-
-def _byte_bits(offset):
-    """Entry b: the set bit positions of the byte b, plus offset."""
-    table = [()]
-    for v in range(offset, offset + 8):
-        table += [bits + (v,) for bits in table]
-    return table
-
-
-_BYTE_BITS, _HIGH_BYTE_BITS = _byte_bits(0), _byte_bits(8)
-
-
-def _bits(mask):
-    if mask < 0x10000:
-        return _BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8]
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
 
 
 def _rank(columns):
@@ -165,12 +144,12 @@ class _RestrictedSweep:
         self.through = [0] * max(gens).bit_length()
         self.singles = 0
         for i, g in enumerate(gens):
-            for v in _bits(g):
+            for v in bits(g):
                 self.through[v] |= 1 << i
             if g & (g - 1) == 0:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
-        # for vertices 0-7 and 8-15, built by doubling as in _byte_bits
+        # for vertices 0-7 and 8-15, built by doubling as in graphs.bits
         padded = self.through + [0] * (16 - len(self.through))
         self._byte_through = []
         for offset in (0, 8):
@@ -189,7 +168,7 @@ class _RestrictedSweep:
         rest of the sweep."""
         hit = self._listed.get(gen_set)
         if hit is None:
-            masks = [self.gens[i] for i in _bits(gen_set)]
+            masks = [self.gens[i] for i in bits(gen_set)]
             union = 0
             for g in masks:
                 union |= g
@@ -222,7 +201,7 @@ class _RestrictedSweep:
             comp = 0
             while fresh:
                 reach = 0
-                for v in _bits(fresh):
+                for v in bits(fresh):
                     here = through[v] & internal
                     comp |= here
                     reach |= self._masks(here)[1]
@@ -257,17 +236,17 @@ class _RestrictedSweep:
             covers = 0
             for g2 in through_v:
                 containing = internal
-                for w in _bits(g2 & ~(1 << v)):
+                for w in bits(g2 & ~(1 << v)):
                     containing &= through[w]
                 covers |= containing
-            for u in _bits(others):
+            for u in bits(others):
                 if not through[u] & internal & ~covers:
                     return v, u
         return None
 
     def _max_face(self, sigma, internal):
         """Size of the largest subset of sigma containing no generator."""
-        verts = _bits(sigma)
+        verts = bits(sigma)
         best = 0
 
         def grow(idx, current, size):
@@ -310,7 +289,7 @@ class _RestrictedSweep:
         internal = self._masks(internal)[0]
         m = core.bit_count()
         # the dual complex lives on the vertices that can appear in a face
-        dual_verts = [v for v in _bits(core)
+        dual_verts = [v for v in bits(core)
                       if any(g & (1 << v) == 0 for g in internal)]
         faces: dict[int, list[int]] = {}
         ranks: dict[int, int] = {}
@@ -333,7 +312,7 @@ class _RestrictedSweep:
             for f in cols_faces:
                 col = {}
                 sign = 1
-                for v in _bits(f):
+                for v in bits(f):
                     sub = f & ~(1 << v)
                     if sub in row_index:
                         col[row_index[sub]] = sign
@@ -373,7 +352,7 @@ class _RestrictedSweep:
         each is the apex of a cone in every restriction through it."""
         through = self.through
         apexes = 0
-        for v in _bits(sigma):
+        for v in bits(sigma):
             if not through[v] & internal:
                 apexes |= 1 << v
         return apexes
@@ -402,7 +381,7 @@ class _RestrictedSweep:
             if apexes:
                 sigma &= ~apexes
                 continue
-            verts = _bits(sigma)
+            verts = bits(sigma)
             answer = len(verts) - 1  # jj(tau) <= |tau| - 1
             if answer > floor:
                 answer = self._branch(sigma, verts, internal, floor)

@@ -6,10 +6,14 @@ Two independent routes are kept deliberately separate:
     hypotheses (component additivity, complete/path base cases, the
     lower/upper bound sandwich, cut-vertex gluing, the elimination
     inequality, induced-subgraph monotonicity) and returns either an exact
-    value or an honest interval.  It reads every clique fact of a connected
-    graph from its maximal cliques: K_n has one, a vertex is simplicial
-    (free) iff it lies in exactly one, and a cut vertex glues iff it lies
-    in exactly two;
+    value or an honest interval.  It works on a graph as its tuple of
+    neighbour masks over the vertices 0..k-1.  That tuple is also its memo
+    key, and it names the same labelled graph as the (n, edge list) pair.
+    Components, induced subgraphs, G - v and the clique closure at v are
+    mask operations, and no Graph is built for a sub-solve.  It reads
+    every clique fact of a connected graph from its maximal cliques: K_n
+    has one, a vertex is simplicial (free) iff it lies in exactly one, and
+    a cut vertex glues iff it lies in exactly two;
   * the oracle computes the actual value through a lex Groebner basis,
     its squarefree initial ideal, and restricted-complex homology over
     the rationals.
@@ -20,7 +24,6 @@ All computation is over characteristic zero; every report records that.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,10 +74,10 @@ class RegularityReport:
 # ---------------------------------------------------------------------------
 # bounds
 
-def _component_upper(sub, cliques):
-    """min(clique count, n-1, n-omega+1) for one component, given its
-    maximal cliques; 0 for a single vertex."""
-    return min(len(cliques), sub.n - 1, sub.n - max(map(len, cliques)) + 1)
+def _component_upper(n, sizes):
+    """min(clique count, n-1, n-omega+1) for one component on n vertices,
+    given the sizes of its maximal cliques; 0 for a single vertex."""
+    return min(len(sizes), n - 1, n - max(sizes) + 1)
 
 
 def bounds(g):
@@ -83,7 +86,7 @@ def bounds(g):
     lo = hi = 0
     for sub, _ in gr.component_graphs(g):
         lo += gr.longest_induced_path(sub)[0]
-        hi += _component_upper(sub, gr.maximal_cliques(sub))
+        hi += _component_upper(sub.n, [len(c) for c in gr.maximal_cliques(sub)])
     return lo, hi
 
 
@@ -144,86 +147,105 @@ def initial_ideals_of(g):
 # ---------------------------------------------------------------------------
 # structural solver
 
-def _is_path(g):
-    """A connected graph is a path iff it is a tree of maximum degree 2."""
-    return g.edge_count() == g.n - 1 and all(len(nbrs) <= 2 for nbrs in g.adj)
-
-
-def _graph_key(g):
-    """Structural memo key: the labelled graph itself.
-
-    Reusing an isomorphic graph's interval would be sound, and canonical_form
-    is cheap, but a canonical key for n <= 8, measured on the benchmark's
-    structural workload (6 alternating pairs on a 2-vCPU VM), made the
-    pass's wall time 15% shorter (0.61 -> 0.52 s) and the median call 4%
-    and the tail call 16% longer (0.0049 -> 0.0057 s).  The labelled key
-    stays, for the per-call times; it still catches a sub-solve repeated on
-    the same labelled graph.  The oracle memo keeps the canonical key,
-    because its values are costly and isomorphism-invariant."""
-    return (g.n, tuple(g.edges()))
-
-
 def _quiet(rule, detail):
     """The note of a sub-solve: only the top-level call is traced."""
 
 
-def _solve(g, budget, memo, note):
-    """Recursive (lo, hi) computation.  Gluing and base cases recurse
-    freely; the elimination-inequality and deletion refinements spend one
-    unit of budget per level.  memo maps (_graph_key(g), budget) to the
-    interval and is keyed by the labelled graph, not by its isomorphism
-    class; this is the one place it is written.  note(rule, detail) records
-    each deduction; sub-solves get _quiet, so the trace covers the top-level
-    call only."""
-    key = (_graph_key(g), budget)
+def _split(nb, v):
+    """The parts of the split at v, as vertex masks with v in each: one part
+    per component of G - v, or None when v is not a cut vertex."""
+    bit = 1 << v
+    comps = gr.component_masks(nb, ((1 << len(nb)) - 1) & ~bit)
+    return [comp | bit for comp in comps] if len(comps) >= 2 else None
+
+
+def _closure(nb, v):
+    """The clique closure at v: N(v) OR-ed into each neighbour's mask."""
+    around = nb[v]
+    return tuple(m | (around & ~(1 << u)) if around >> u & 1 else m
+                 for u, m in enumerate(nb))
+
+
+def _drop(nb, v):
+    """G minus v, renumbered."""
+    return gr.induced_masks(nb, ((1 << len(nb)) - 1) & ~(1 << v))
+
+
+def _solve(nb, budget, memo, note):
+    """Recursive (lo, hi) computation on a graph given as its neighbour
+    masks over the vertices 0..k-1, the form every rule reads.  Gluing and
+    base cases recurse freely; the elimination-inequality and deletion
+    refinements spend one unit of budget per level.  note(rule, detail)
+    records each deduction; sub-solves get _quiet, so the trace covers the
+    top-level call only.
+
+    memo maps (nb, budget) to the interval; this is the one place it is
+    written.  The mask tuple and the labelled graph's (n, edge list)
+    determine each other, so the memo hits on exactly the sub-solves an
+    edge-list key would; like it, the key is not canonical.  Reusing an
+    isomorphic graph's interval would be sound, and canonical_form is
+    cheap, but a canonical key for n <= 8, measured on the benchmark's
+    structural workload (6 alternating pairs on a 2-vCPU VM), made the
+    pass's wall time 15% shorter (0.61 -> 0.52 s) and the median call 4%
+    and the tail call 16% longer (0.0049 -> 0.0057 s).  The labelled key
+    stays, for the per-call times; it still catches a sub-solve repeated
+    on the same labelled graph.  The oracle memo keeps the canonical key,
+    because its values are costly and isomorphism-invariant."""
+    key = (nb, budget)
     if key not in memo:
-        memo[key] = _derive(g, budget, memo, note)
+        memo[key] = _derive(nb, budget, memo, note)
     return memo[key]
 
 
-def _derive(g, budget, memo, note):
+def _derive(nb, budget, memo, note):
     """The rules behind _solve, applied to a graph not yet in the memo."""
-    parts = gr.component_graphs(g)
+    n = len(nb)
+    parts = gr.component_masks(nb, (1 << n) - 1)
     if len(parts) != 1:
         lo = hi = 0
-        for sub, _ in parts:
-            clo, chi = _solve(sub, budget, memo, _quiet)
+        for part in parts:
+            clo, chi = _solve(gr.induced_masks(nb, part), budget, memo, _quiet)
             lo += clo
             hi += chi
         note("component-additivity",
              f"{len(parts)} components, sum gives [{lo}, {hi}]")
         return lo, hi
 
-    if g.edge_count() == 0:
+    if n == 1:
         note("path-base", "single vertex")
         return 0, 0
-    cliques = gr.maximal_cliques(g)
+    cliques = gr.clique_masks(nb)
     if len(cliques) == 1:
-        note("complete-base", f"K_{g.n}")
+        note("complete-base", f"K_{n}")
         return 1, 1
-    if _is_path(g):
-        note("path-base", f"path of length {g.n - 1}")
-        return g.n - 1, g.n - 1
+    degrees = [m.bit_count() for m in nb]
+    if sum(degrees) == 2 * (n - 1) and max(degrees) <= 2:
+        note("path-base", f"path of length {n - 1}")
+        return n - 1, n - 1
 
-    lo, hi = gr.longest_induced_path(g)[0], _component_upper(g, cliques)
+    lo = gr.induced_path(nb)[0]
+    hi = _component_upper(n, [c.bit_count() for c in cliques])
     if lo == hi:
         note("sandwich", f"bounds meet at {lo}")
         return lo, hi
+
+    # vertices in two or more maximal cliques, and in three or more
+    twice = thrice = seen = 0
+    for clique in cliques:
+        thrice |= twice & clique
+        twice |= seen & clique
+        seen |= clique
 
     # gluing at the first cut vertex simplicial in both halves of a two-part
     # split, which is the first cut vertex in exactly two maximal cliques:
     # each clique minus v is connected, so the split has at most two parts
     # and v's neighbors in each form a clique.  A vertex in three or more
     # cliques never glues, since any split leaves two of them in one part.
-    membership = Counter(v for clique in cliques for v in clique)
-    for v in range(g.n):
-        if membership[v] != 2:
+    for v in gr.bits(twice & ~thrice):
+        split = _split(nb, v)
+        if split is None:
             continue
-        try:
-            split = gr.splits_at(g, v)
-        except ValueError:
-            continue
-        (l1, h1), (l2, h2) = (_solve(gr.induced_subgraph(g, part)[0], budget,
+        (l1, h1), (l2, h2) = (_solve(gr.induced_masks(nb, part), budget,
                                      memo, _quiet) for part in split)
         lo = max(lo, l1 + l2)
         hi = min(hi, h1 + h2)
@@ -234,19 +256,18 @@ def _derive(g, budget, memo, note):
         return lo, hi
 
     if budget > 0:
-        minus = [gr.delete_vertex(g, v) for v in range(g.n)]
-        for v in range(g.n):
-            if membership[v] == 1:
-                continue
-            closed = gr.clique_closure(g, v)
+        minus = [_drop(nb, v) for v in range(n)]
+        # a vertex in one maximal clique is simplicial: its closure is itself
+        for v in gr.bits(twice):
+            closed = _closure(nb, v)
             h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
             h2 = _solve(closed, budget - 1, memo, _quiet)[1]
-            h3 = _solve(gr.delete_vertex(closed, v), budget - 1, memo, _quiet)[1]
+            h3 = _solve(_drop(closed, v), budget - 1, memo, _quiet)[1]
             cap = max(h1, h2, h3 + 1)
             if cap < hi:
                 hi = cap
                 note("split-inequality", f"vertex {v} caps the value at {cap}")
-        for v in range(g.n):
+        for v in range(n):
             floor = _solve(minus[v], budget - 1, memo, _quiet)[0]
             if floor > lo:
                 lo = floor
@@ -264,7 +285,7 @@ def structural_reg(g, budget=DEFAULT_BUDGET):
     """Regularity by structural rules only; exact when the rules close the
     gap, otherwise an interval."""
     log = []
-    lo, hi = _solve(g, budget, {},
+    lo, hi = _solve(g.neighbor_masks(), budget, {},
                     lambda rule, detail: log.append((rule, detail)))
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 

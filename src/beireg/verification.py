@@ -78,7 +78,7 @@ def check_one(g, oracle=None):
     oracle = oracle or rg.oracle_reg
     results = {}
     subs = [sub for sub, _ in gr.component_graphs(g)]
-    ell = gr.ell(g)
+    ell = sum(gr.longest_induced_path(s)[0] for s in subs)
     # the maximal cliques of g are those of its components
     comp_cliques = [gr.maximal_cliques(s) for s in subs]
     cliques = sum(map(len, comp_cliques))

@@ -118,6 +118,12 @@ def _fraction_rank(matrix):
     return rank
 
 
+def supports(ideal):
+    """The generators of a MonomialIdeal as sorted variable-index tuples."""
+    return [tuple(k for k in range(ideal.nvars) if m >> k & 1)
+            for m in ideal.gens]
+
+
 def brute_dominates(gen_supports, tau, v, u):
     """True when v is dominated by u in the complex restricted to tau (the
     subsets of tau that contain no generator): every face through v stays

@@ -290,6 +290,33 @@ class TestCliqueClosure:
                 assert unchanged == gr.is_simplicial(g, v)
 
 
+class TestMaskKernels:
+    def test_components_cliques_and_induced_masks_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        graphs = [g for n in range(1, 7) for g in gr.enumerate_graphs(n)]
+        for _ in range(200):
+            n, p = rng.randint(1, 12), rng.random()
+            graphs.append(gr.Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < p]))
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            nb = g.neighbor_masks()
+            comps = gr.component_masks(nb, (1 << g.n) - 1)
+            assert {gr.bits(c) for c in comps} == {
+                tuple(sorted(c)) for c in nx.connected_components(h)}
+            assert {gr.bits(c) for c in gr.clique_masks(nb)} == {
+                tuple(sorted(c)) for c in nx.find_cliques(h)}
+            keep = rng.getrandbits(g.n)
+            sub = nx.convert_node_labels_to_integers(
+                h.subgraph(gr.bits(keep)), ordering="sorted")
+            assert gr.induced_masks(nb, keep) == tuple(
+                sum(1 << u for u in sub[v]) for v in range(len(sub)))
+
+
 class TestCanonicalForm:
     def test_relabeled_path_equal(self):
         p = gr.path_graph(3)

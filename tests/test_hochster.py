@@ -6,9 +6,11 @@ import pytest
 from beireg import graphs as gr
 from beireg import hochster
 from beireg.groebner import MonomialIdeal, initial_ideal, lex_groebner
-from beireg.hochster import _bits, _rank, _RestrictedSweep, hochster_regularity
+from beireg.graphs import bits
+from beireg.hochster import _rank, _RestrictedSweep, hochster_regularity
 
-from helpers import _fraction_rank, brute_dominates, naive_monomial_regularity
+from helpers import (_fraction_rank, brute_dominates, naive_monomial_regularity,
+                     supports)
 
 
 def ideal_of(g):
@@ -77,7 +79,7 @@ class TestHochsterRegularity:
         for n in range(2, 5):
             for g in gr.enumerate_graphs(n, connected_only=True):
                 ideal = ideal_of(g)
-                expected = naive_monomial_regularity(ideal.supports(), 2 * n)
+                expected = naive_monomial_regularity(supports(ideal), 2 * n)
                 assert hochster_regularity(ideal) == expected, g.edges()
 
     def test_matches_naive_on_random_ideals(self, monkeypatch):
@@ -123,8 +125,8 @@ class TestHochsterRegularity:
             else:
                 nverts = rng.randint(5, 7)
                 ideal = random_ideal(rng, nverts, 10, (3,))
-            expected = naive_monomial_regularity(ideal.supports(), nverts)
-            assert hochster_regularity(ideal) == expected, ideal.supports()
+            expected = naive_monomial_regularity(supports(ideal), nverts)
+            assert hochster_regularity(ideal) == expected, supports(ideal)
         assert set(fired) == {"_without", "_apexes", "_dominated",
                               "_gen_components"}, fired
         assert max(core_sizes) >= 5, core_sizes
@@ -169,7 +171,7 @@ class TestHochsterRegularity:
             assert hochster_regularity(whole) == sum(parts), blocks
             if offset <= 8:
                 assert sum(parts) == naive_monomial_regularity(
-                    whole.supports(), offset), blocks
+                    supports(whole), offset), blocks
 
 
 def test_core_subsets_count():
@@ -180,7 +182,7 @@ def test_core_subsets_count():
     sweep = _RestrictedSweep(list(ideal.gens))
     everything = (1 << len(ideal.gens)) - 1
     core = mask(0, 1, 2, 3, 4)
-    assert sweep._dominated(core, _bits(core), everything) is None
+    assert sweep._dominated(core, bits(core), everything) is None
     assert len(sweep._gen_components(core, everything)) == 1
     assert sweep._core_jj(core, everything, -1) is None
     assert naive_monomial_regularity(supports, 5) == 2
@@ -209,15 +211,15 @@ def test_domination_is_inherited():
             w = rng.getrandbits(nverts) & span & ~singles
             internal = sweep._without(everything, span & ~w)
             w &= ~sweep._apexes(w, internal)
-            pair = sweep._dominated(w, _bits(w), internal)
+            pair = sweep._dominated(w, bits(w), internal)
             if pair is None:
                 continue
             v, u = pair
             assert v != u and w >> v & 1 and w >> u & 1
             for _ in range(4):
                 tau = w & rng.getrandbits(nverts) | 1 << u | 1 << v
-                assert brute_dominates(ideal.supports(), _bits(tau), v, u), (
-                    ideal.supports(), w, tau, v, u)
+                assert brute_dominates(supports(ideal), bits(tau), v, u), (
+                    supports(ideal), w, tau, v, u)
                 checked += 1
     assert checked >= 200, checked
 

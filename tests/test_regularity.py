@@ -199,6 +199,42 @@ class TestStructural:
         assert rg.structural_reg(g) == rg.structural_reg(g)
 
 
+class TestMaskSteps:
+    """The solver's mask steps against the Graph functions kept as their
+    independent references."""
+
+    def test_split_and_closure_match_references(self):
+        for n in range(1, 7):
+            for g in gr.enumerate_graphs(n, connected_only=True):
+                nb = g.neighbor_masks()
+                cliques = gr.maximal_cliques(g)
+                for v in range(g.n):
+                    closed = rg._closure(nb, v)
+                    assert [(u, w) for u, m in enumerate(closed)
+                            for w in gr.bits(m) if u < w] == \
+                        gr.clique_closure(g, v).edges()
+                    if sum(v in c for c in cliques) != 2:
+                        continue
+                    try:
+                        expected = gr.splits_at(g, v)
+                    except ValueError:
+                        expected = None
+                    split = rg._split(nb, v)
+                    decoded = None if split is None else sorted(
+                        map(gr.bits, split))
+                    assert decoded == expected, (g.edges(), v)
+
+    # exact structural values per n over the connected classes, measured
+    # at the labelled-key solver before it moved to masks
+    @pytest.mark.parametrize("n, exact, total", [
+        (1, 1, 1), (2, 1, 1), (3, 2, 2), (4, 6, 6), (5, 21, 21),
+        (6, 110, 112), (7, 828, 853)])
+    def test_exact_coverage_of_connected_classes(self, n, exact, total):
+        classes = gr.enumerate_graphs(n, connected_only=True)
+        assert len(classes) == total
+        assert sum(rg.structural_reg(g).exact for g in classes) == exact
+
+
 class TestRegFacade:
     def test_auto_sandwich(self, cl_example):
         report = rg.reg(cl_example)
