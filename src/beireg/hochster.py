@@ -8,12 +8,14 @@ homology; an acyclic restriction contributes nothing, and the empty set
 ({emptyset}, homology in degree -1) contributes 0.  The sweep computes
 R(W), the largest jj(tau) over the subsets tau of W, by a memoized
 recursion that starts at the span of the generators, with R(emptyset) = 0.
-Five exact rules apply, in this order:
+Six exact rules apply, in this order:
 
   * singles: a vertex that is itself a generator lies in no face, so it
     is dropped;
   * cone apexes: a vertex in no generator inside W is the apex of a cone,
     so every restriction through it is acyclic, and it is dropped;
+  * one generator: W is then that generator, Delta_W is the boundary of
+    the simplex on W, and R(W) = |W| - 1;
   * dominated pair: if v is dominated by u in Delta_W (every face through
     v extends by u), then R(W) = max(R(W - v), R(W - u));
   * join: if the generators inside W fall into several classes linked by
@@ -30,20 +32,26 @@ such Delta_tau, a strong collapse (Barmak & Minian, DCG 2012) keeps its
 homotopy type without v, and tau has the answer of tau - v.  A tau that
 misses v lies in W - v, and one that misses u in W - u.
 
-The recursion prunes by the bound jj(tau) <= |tau| - 1 for nonempty tau
-(homology in degree h needs h <= |tau| - 2).  _solve(W, t) returns R(W)
-exactly when R(W) > t, and otherwise an upper bound on it that is at most
-t; a set with |W| - 1 <= t returns that bound at once.  One memo holds the
-exact values and one the upper bounds.  The second set of a dominated
-pair, each further set of a core and the core's own jj(W) get the running
-best as their threshold, and a join factor gets t minus the other factors'
-current bounds.  The core's homology scan stops at degrees whose h + 1
-cannot beat its floor, and skips the largest face when only one degree
-is left.
+With two or more generators inside W the recursion prunes by the bound
+R(W) <= |W| - 2.  Homology in degree h of Delta_tau needs h <= |tau| - 2,
+and at h = |tau| - 2 the cycle is the boundary of the simplex on tau, so
+every proper subset of tau is a face and tau is a generator.  Such a tau
+is a proper subset of W, since no other generator lies inside a generator,
+so jj(tau) = |tau| - 1 <= |W| - 2, and every other tau has jj(tau) <=
+|tau| - 2.  The same fact caps a core's homology at h <= |W| - 3.
 
-Alexander duality keeps the linear algebra small: homology in degree h of
-a restriction equals homology in degree |tau| - h - 3 of the complement
-complex, so the top-degree probes only ever build small boundary matrices.
+_solve(W, t) returns R(W) exactly when R(W) > t, and otherwise an upper
+bound on it that is at most t; a set with |W| - 2 <= t returns that bound
+at once.  One memo holds the exact values and one the upper bounds.  The
+second set of a dominated pair, each further set of a core and the core's
+own jj(W) get the running best as their threshold, and a join factor gets
+t minus the other factors' current bounds.
+
+A core's homology is taken of Delta_W itself.  Its faces are built size
+by size: a face F + v grows by each vertex w > v for which F + w is a
+face, and only the generators through both v and w are tested.  The
+largest nonempty size caps the degrees, and the scan goes down from the
+top and stops at degrees whose h + 1 cannot beat its floor.
 
 The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
@@ -56,8 +64,7 @@ instead.  The domination test for v scans only the generators through v,
 and one bitset of the generators they cover settles every candidate u at
 once.  A join factor grows by flood fill over these bitsets.  A generator
 bitset becomes a list of vertex masks only where a vertex is scanned for
-domination or a core's homology is built, and a per-sweep dict keeps each
-such list.
+domination, and a per-sweep dict keeps each such list.
 
 All ranks are computed by exact integer elimination that takes the
 columns in order and pivots on short rows with unit entries, so the result
@@ -66,7 +73,6 @@ is the characteristic-zero value with no floating point anywhere.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 
 from .graphs import bits
@@ -244,101 +250,70 @@ class _RestrictedSweep:
                     return v, u
         return None
 
-    def _max_face(self, sigma, internal):
-        """Size of the largest subset of sigma containing no generator."""
-        verts = bits(sigma)
-        best = 0
+    # -- homology of a core ------------------------------------------------
 
-        def grow(idx, current, size):
-            nonlocal best
-            if size + (len(verts) - idx) <= best:
-                return
-            if idx == len(verts):
-                best = max(best, size)
-                return
-            v = verts[idx]
-            cand = current | (1 << v)
-            if not any(g & cand == g for g in internal):
-                grow(idx + 1, cand, size + 1)
-            grow(idx + 1, current, size)
-
-        grow(0, 0, 0)
-        return best
-
-    # -- dual-complex homology ---------------------------------------------
-
-    def _dual_faces(self, verts, internal, size):
-        """Faces of the complement complex of given size: subsets F with
-        some internal generator disjoint from F."""
-        if size == 0:
-            return [0]
-        out = []
-        for combo in combinations(verts, size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if any(g & mask == 0 for g in internal):
-                out.append(mask)
-        return out
+    def _faces(self, sigma, internal):
+        """The faces of the restriction to sigma, whose generators are the
+        bitset internal and none a single vertex, as one list of vertex
+        masks per size, from the empty face to the largest.  Each face F
+        carries the vertices above its largest that extend it.  F + v + w,
+        for v < w two of them, is a face unless a generator through both v
+        and w lies in it, since every other generator there lies in F + v
+        or F + w; so only those generators are tested."""
+        through, without = self.through, self._without
+        level = [(0, sigma)]
+        levels = [[0]]
+        while True:
+            grown = []
+            for face, ext in level:
+                for v in bits(ext):
+                    bigger = face | 1 << v
+                    near = internal & through[v]
+                    more = 0
+                    for w in bits(ext & -(2 << v)):
+                        both = near & through[w]
+                        if not (both and without(both, sigma & ~(bigger | 1 << w))):
+                            more |= 1 << w
+                    grown.append((bigger, more))
+            if not grown:
+                return levels
+            levels.append([face for face, _ in grown])
+            level = grown
 
     def _core_jj(self, core, internal, floor):
         """jj(core) when it exceeds floor, else None, from the ranks of the
-        Alexander dual's boundary maps.  core is a set that no rule before
-        the core rule shrinks or splits, and internal its generator
-        bitset."""
-        internal = self._masks(internal)[0]
-        m = core.bit_count()
-        # the dual complex lives on the vertices that can appear in a face
-        dual_verts = [v for v in bits(core)
-                      if any(g & (1 << v) == 0 for g in internal)]
-        faces: dict[int, list[int]] = {}
+        boundary maps of the restriction to core itself.  core is a set
+        that no rule before the core rule shrinks, splits or closes, so its
+        generator bitset internal holds at least two generators and
+        homology in degree h needs h <= |core| - 3, besides a face of size
+        h + 1."""
+        top, low = core.bit_count() - 3, max(floor, 0)
+        if top < low:
+            return None
+        levels = self._faces(core, internal)
         ranks: dict[int, int] = {}
 
-        def faces_of(k):
-            if k not in faces:
-                faces[k] = self._dual_faces(dual_verts, internal, k)
-            return faces[k]
-
         def rank_of(k):
-            """Rank of the dual boundary map from k-sized faces to
-            (k-1)-sized faces (augmented: the empty face is the unique
-            face of size 0)."""
-            if k in ranks:
-                return ranks[k]
-            cols_faces = faces_of(k)
-            rows_faces = faces_of(k - 1)
-            row_index = {f: i for i, f in enumerate(rows_faces)}
-            columns = []
-            for f in cols_faces:
-                col = {}
-                sign = 1
-                for v in bits(f):
-                    sub = f & ~(1 << v)
-                    if sub in row_index:
-                        col[row_index[sub]] = sign
-                    sign = -sign
-                columns.append(col)
-            ranks[k] = _rank(columns)
+            """Rank of the boundary map from the faces of size k to those
+            of size k - 1 (augmented: the empty face is the one face of
+            size 0), and 0 past the largest face."""
+            if k >= len(levels):
+                return 0
+            if k not in ranks:
+                row_index = {f: i for i, f in enumerate(levels[k - 1])}
+                columns = []
+                for f in levels[k]:
+                    col = {}
+                    sign = 1
+                    for v in bits(f):
+                        col[row_index[f & ~(1 << v)]] = sign
+                        sign = -sign
+                    columns.append(col)
+                ranks[k] = _rank(columns)
             return ranks[k]
 
-        # homology in degree h needs a face of size h + 1 and h <= m - 2;
-        # only h >= floor can beat the floor, so with m - 2 <= floor the
-        # one degree left needs no largest face
-        h_ub = m - 2
-        if h_ub > floor:
-            h_ub = min(h_ub, self._max_face(core, internal) - 1)
-        for h in range(h_ub, max(floor, 0) - 1, -1):
-            hd = m - h - 3  # dual homology degree
-            if hd == -1:
-                # dual complex is {emptyset} iff the only internal generator
-                # covers the whole core
-                if not dual_verts:
-                    return h + 1
-                continue
-            f_mid = len(faces_of(hd + 1))
-            if f_mid == 0:
-                continue
-            betti = f_mid - rank_of(hd + 1) - rank_of(hd + 2)
+        for h in range(min(top, len(levels) - 2), low - 1, -1):
+            betti = len(levels[h + 1]) - rank_of(h + 1) - rank_of(h + 2)
             if betti < 0:
                 raise RuntimeError("negative Betti number: rank computation bug")
             if betti > 0:
@@ -381,8 +356,12 @@ class _RestrictedSweep:
             if apexes:
                 sigma &= ~apexes
                 continue
+            if internal & (internal - 1) == 0:
+                # one generator, all of sigma: the boundary of a simplex
+                exact[sigma] = sigma.bit_count() - 1
+                continue
             verts = bits(sigma)
-            answer = len(verts) - 1  # jj(tau) <= |tau| - 1
+            answer = len(verts) - 2  # two generators or more
             if answer > floor:
                 answer = self._branch(sigma, verts, internal, floor)
             break
@@ -395,8 +374,9 @@ class _RestrictedSweep:
 
     def _branch(self, sigma, verts, internal, floor):
         """_solve on a set that the singles and cone-apex rules leave as
-        it is and whose bound |sigma| - 1 exceeds floor: the dominated
-        pair, join and core rules, in that order."""
+        it is, with two generators or more and a bound |sigma| - 2 that
+        exceeds floor: the dominated pair, join and core rules, in that
+        order."""
         through = self.through
         solve = self._solve
         pair = self._dominated(sigma, verts, internal)

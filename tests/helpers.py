@@ -141,45 +141,53 @@ def brute_dominates(gen_supports, tau, v, u):
     return True
 
 
-def naive_monomial_regularity(gen_supports, nverts):
-    """Regularity of the quotient by a squarefree monomial ideal: full
-    2^nverts sweep with dense rational homology."""
+def naive_jj(gen_supports, sigma):
+    """jj(sigma): h + 1 for the top degree h in which the complex
+    restricted to sigma (the subsets of sigma that contain no generator)
+    has nonzero reduced homology, or None when it is acyclic; every subset
+    of sigma is listed and the ranks are dense rational ones."""
     gens = [frozenset(s) for s in gen_supports]
-    if not gens:
+    sigma = sorted(sigma)
+    faces_by_size = {0: [frozenset()]}
+    for k in range(1, len(sigma) + 1):
+        faces_by_size[k] = [
+            frozenset(c) for c in combinations(sigma, k)
+            if not any(gen <= set(c) for gen in gens)]
+    max_dim = max((k for k, fs in faces_by_size.items() if fs), default=0) - 1
+
+    def boundary(k):
+        """Matrix of the map from size-k faces to size-(k-1) faces."""
+        rows = faces_by_size.get(k - 1, [])
+        cols = faces_by_size.get(k, [])
+        idx = {f: i for i, f in enumerate(rows)}
+        mat = [[0] * len(cols) for _ in rows]
+        for ci, f in enumerate(cols):
+            for pos, v in enumerate(sorted(f)):
+                sub = f - {v}
+                if sub in idx:
+                    mat[idx[sub]][ci] = (-1) ** pos
+        return mat
+
+    ranks = {}
+    for k in range(0, len(sigma) + 2):
+        ranks[k] = _fraction_rank(boundary(k)) if faces_by_size.get(k) else 0
+    for h in range(max_dim, -2, -1):
+        betti = len(faces_by_size.get(h + 1, [])) - ranks[h + 1] - ranks[h + 2]
+        assert betti >= 0
+        if betti > 0:
+            return h + 1
+    return None
+
+
+def naive_monomial_regularity(gen_supports, nverts):
+    """Regularity of the quotient by a squarefree monomial ideal: the
+    largest naive_jj over all 2^nverts vertex subsets."""
+    if not gen_supports:
         return 0
-    best = 0
-    for size in range(1, nverts + 1):
-        for sigma in combinations(range(nverts), size):
-            sset = set(sigma)
-            faces_by_size = {0: [frozenset()]}
-            for k in range(1, size + 1):
-                faces_by_size[k] = [
-                    frozenset(c) for c in combinations(sigma, k)
-                    if not any(gen <= set(c) for gen in gens)]
-            max_dim = max((k for k, fs in faces_by_size.items() if fs), default=0) - 1
-
-            def boundary(k):
-                """Matrix of the map from size-k faces to size-(k-1) faces."""
-                rows = faces_by_size.get(k - 1, [])
-                cols = faces_by_size.get(k, [])
-                idx = {f: i for i, f in enumerate(rows)}
-                mat = [[0] * len(cols) for _ in rows]
-                for ci, f in enumerate(cols):
-                    for pos, v in enumerate(sorted(f)):
-                        sub = f - {v}
-                        if sub in idx:
-                            mat[idx[sub]][ci] = (-1) ** pos
-                return mat
-
-            ranks = {}
-            for k in range(0, size + 2):
-                ranks[k] = _fraction_rank(boundary(k)) if faces_by_size.get(k) else 0
-            for h in range(0, max_dim + 1):
-                betti = len(faces_by_size.get(h + 1, [])) - ranks[h + 1] - ranks[h + 2]
-                assert betti >= 0
-                if betti > 0:
-                    best = max(best, h + 1)
-    return best
+    jjs = (naive_jj(gen_supports, sigma)
+           for size in range(1, nverts + 1)
+           for sigma in combinations(range(nverts), size))
+    return max((jj for jj in jjs if jj is not None), default=0)
 
 
 # ---------------------------------------------------------------------------

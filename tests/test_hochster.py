@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,8 @@ from beireg.groebner import MonomialIdeal, initial_ideal, lex_groebner
 from beireg.graphs import bits
 from beireg.hochster import _rank, _RestrictedSweep, hochster_regularity
 
-from helpers import (_fraction_rank, brute_dominates, naive_monomial_regularity,
-                     supports)
+from helpers import (_fraction_rank, brute_dominates, naive_jj,
+                     naive_monomial_regularity, supports)
 
 
 def ideal_of(g):
@@ -36,11 +37,39 @@ class TestHollowSimplex:
     """Boundary-of-simplex sanity anchors, cross-checked by dense rational
     homology before anything else relies on the oracle."""
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_sphere_homology(self, k):
-        ideal = MonomialIdeal.from_supports(k, [(1 << k) - 1])
-        assert hochster_regularity(ideal) == k - 1
-        assert naive_monomial_regularity([range(k)], k) == k - 1
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sphere_homology(self, k, monkeypatch):
+        """One generator of k vertices gives k - 1 by the closed form, with
+        no dominated pair, join or core tried, also in a ring of two more
+        variables."""
+        def no_branch(*args):
+            raise AssertionError("one generator branched")
+
+        monkeypatch.setattr(_RestrictedSweep, "_branch", no_branch)
+        for nverts in (k, k + 2):
+            ideal = MonomialIdeal.from_supports(nverts, [(1 << k) - 1])
+            assert hochster_regularity(ideal) == k - 1
+        if k <= 5:
+            assert naive_monomial_regularity([range(k)], k) == k - 1
+
+    def test_two_generators_bound(self):
+        """With two generators or more the regularity is at most the size
+        of their span less 2, by the full 2^n reference on random ideals
+        of up to 8 vertices; the bound is met in some draws."""
+        rng = random.Random(71)
+        tight = 0
+        for _ in range(40):
+            nverts = rng.randint(3, 8)
+            ideal = random_ideal(rng, nverts, 6, (1, 2, 2, 3, 3, 4))
+            if len(ideal.gens) < 2:
+                continue
+            span = 0
+            for g in ideal.gens:
+                span |= g
+            reg = naive_monomial_regularity(supports(ideal), nverts)
+            assert reg <= span.bit_count() - 2, supports(ideal)
+            tight += reg == span.bit_count() - 2
+        assert tight >= 3, tight
 
 
 class TestHochsterRegularity:
@@ -187,6 +216,44 @@ def test_core_subsets_count():
     assert sweep._core_jj(core, everything, -1) is None
     assert naive_monomial_regularity(supports, 5) == 2
     assert hochster_regularity(ideal) == 2
+
+
+def test_core_jj_matches_naive():
+    """_core_jj against the dense homology of naive_jj on random vertex
+    sets, in ideals on up to 9 vertices, that hold at least two generators
+    of 2 to 4 vertices: at floor -1 it is jj itself (None when acyclic),
+    and at a random floor jj when jj exceeds it, else None.  The faces it
+    builds size by size are the subsets of each size that contain no
+    generator."""
+    rng = random.Random(73)
+    seen = Counter()
+    checked = 0
+    while checked < 60:
+        nverts = rng.randint(4, 9)
+        ideal = random_ideal(rng, nverts, 8, (2, 2, 3, 3, 4))
+        sweep = _RestrictedSweep(list(ideal.gens))
+        # the sweep's sets lie in the generators' span
+        w = ((rng.getrandbits(nverts) | rng.getrandbits(nverts))
+             & sweep._masks((1 << len(ideal.gens)) - 1)[1])
+        internal = sum(1 << i for i, g in enumerate(ideal.gens) if g & w == g)
+        if internal.bit_count() < 2:
+            continue
+        checked += 1
+        inside = [g for g in ideal.gens if g & w == g]
+        by_size = [sorted(mask(*c) for c in combinations(bits(w), k)
+                          if not any(g & mask(*c) == g for g in inside))
+                   for k in range(w.bit_count() + 1)]
+        while not by_size[-1]:
+            by_size.pop()
+        faces = sweep._faces(w, internal)
+        assert [sorted(level) for level in faces] == by_size, (inside, w)
+        expected = naive_jj(supports(ideal), bits(w))
+        seen[expected] += 1
+        assert sweep._core_jj(w, internal, -1) == expected, (inside, w)
+        floor = rng.randint(-1, w.bit_count())
+        above = expected if expected is not None and expected > floor else None
+        assert sweep._core_jj(w, internal, floor) == above, (inside, w, floor)
+    assert {None, 1, 2} <= set(seen), seen
 
 
 def test_domination_is_inherited():

@@ -89,6 +89,16 @@ class TestOracle:
                                     (3, 4), (3, 5), (4, 6), (4, 7)])
         assert rg.oracle_reg(g) == 5
 
+    @pytest.mark.parametrize("edges", [
+        "01 05 06 12 14 16 23 24 25 34 35 37 46 47 67",
+        "01 03 05 12 13 14 17 24 25 26 34 36 46 56 57 67"])
+    def test_vanishing_core_classes(self, monkeypatch, edges):
+        # connected 8-vertex graphs whose sweeps spend most of their time on
+        # cores with no homology down to the floor
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        g = gr.Graph.from_edges(8, [(int(a), int(b)) for a, b in edges.split()])
+        assert rg.oracle_reg(g) == 4
+
     def test_gate(self):
         with pytest.raises(rg.OracleGateError):
             rg.oracle_reg(gr.path_graph(9))
