@@ -12,13 +12,23 @@ Each of components, induced subgraphs, maximal cliques and longest induced
 paths has one kernel that works on neighbour masks: a tuple whose entry v
 has bit u set iff u ~ v, over the vertices 0..k-1.  The structural solver
 calls the kernels on masks directly; `components`, `induced_subgraph`,
-`maximal_cliques` and `longest_induced_path` wrap them for a `Graph`, whose
-masks `Graph.neighbor_masks` computes once.
+`maximal_cliques` and `longest_induced_path` wrap them for a `Graph`.
+
+A `Graph` computes each of its derived objects once, on first use: its
+masks, its per-component view, its longest induced path and its maximal
+cliques.  So every caller that asks about the same Graph instance (the
+verification sweep, the recognizers and their validators, the oracle)
+shares one view and the same subgraph instances.  Lists are handed out as
+copies, so a caller that edits one does not change the next answer.
 
 The invariants that add up over components (ell, the clique bounds, the
 regularity itself) are sums over `component_graphs`, the one per-component
 view.  A connected graph is its own only component and is returned as
 itself, not rebuilt.
+
+`enumerate_graphs` works on neighbour-mask tuples: it computes each
+candidate's canonical code once, keeps that code as the sort key, and
+builds a Graph only for each class representative it keeps.
 """
 
 from __future__ import annotations
@@ -89,6 +99,24 @@ class Graph:
     @cached_property
     def _masks(self):
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
+
+    @cached_property
+    def _view(self):
+        comps = component_masks(self._masks, (1 << self.n) - 1)
+        return tuple(induced_subgraph(self, bits(c)) for c in comps)
+
+    @cached_property
+    def _path(self):
+        return induced_path(self._masks)
+
+    @cached_property
+    def _cliques(self):
+        return tuple(sorted(bits(c) for c in clique_masks(self._masks)))
+
+    @classmethod
+    def _of_masks(cls, masks, labels=None):
+        """The graph whose neighbour masks are masks."""
+        return cls(len(masks), tuple(frozenset(bits(m)) for m in masks), labels)
 
 
 @dataclass(frozen=True)
@@ -223,11 +251,11 @@ def induced_masks(nb, keep):
 
 def components(g):
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    return [bits(c) for c in component_masks(g.neighbor_masks(), (1 << g.n) - 1)]
+    return [old_ids for _, old_ids in g._view]
 
 
 def is_connected(g):
-    return len(components(g)) <= 1
+    return len(g._view) <= 1
 
 
 def induced_subgraph(g, vertices):
@@ -245,15 +273,15 @@ def induced_subgraph(g, vertices):
         return g, old_ids
     masks = induced_masks(g.neighbor_masks(), sum(1 << v for v in old_ids))
     labels = tuple(g.labels[v] for v in old_ids) if g.labels is not None else None
-    return Graph(len(old_ids), tuple(frozenset(bits(m)) for m in masks),
-                 labels), old_ids
+    return Graph._of_masks(masks, labels), old_ids
 
 
 def component_graphs(g):
     """The per-component view: the (induced subgraph, old_ids) pair of each
     component, in components() order.  A connected graph's only pair is
-    (g, (0, ..., n-1)), with g itself as the subgraph."""
-    return [induced_subgraph(g, comp) for comp in components(g)]
+    (g, (0, ..., n-1)), with g itself as the subgraph.  The view is built
+    once per graph, so repeated calls return the same subgraph objects."""
+    return list(g._view)
 
 
 def induced_path(nb):
@@ -300,7 +328,7 @@ def longest_induced_path(g):
         raise ValueError("graph has no vertices")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    return induced_path(g.neighbor_masks())
+    return g._path
 
 
 def ell(g):
@@ -351,13 +379,13 @@ def maximal_cliques(g):
     Each clique is a sorted tuple and the list is sorted lexicographically.
     An isolated vertex yields a singleton clique.
     """
-    return sorted(bits(c) for c in clique_masks(g.neighbor_masks()))
+    return list(g._cliques)
 
 
 def clique_number(g):
     if g.n == 0:
         raise ValueError("clique number of the empty graph is undefined")
-    return max(len(c) for c in maximal_cliques(g))
+    return max(map(len, g._cliques))
 
 
 def is_simplicial(g, v):
@@ -460,10 +488,14 @@ def canonical_form(g):
     same partition have the same least future, so they are kept once.  The
     result is the brute-force minimum over all n! orderings, but the search
     is still exponential in the worst case, so it stays gated at n <= 8."""
-    n = g.n
-    if n > CANONICAL_MAX_N:
+    if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical_form is limited to n <= {CANONICAL_MAX_N}")
-    nb = g.neighbor_masks()
+    return _canonical_code(g.neighbor_masks())
+
+
+def _canonical_code(nb):
+    """canonical_form of the graph given by its neighbour masks, ungated."""
+    n = len(nb)
     code = 0
     frontier = {((1 << n) - 1,)}
     for k in range(n - 1):
@@ -509,17 +541,19 @@ def enumerate_graphs(n, connected_only=False):
         _ENUM_CACHE[0] = [empty_graph(0)]
     start = max(k for k in _ENUM_CACHE if k <= n)
     for k in range(start + 1, n + 1):
-        nxt: dict[bytes, Graph] = {}
+        # each graph on k - 1 vertices, with vertex k - 1 joined to the bits
+        # of mask: the first candidate met in each class represents it
+        top = 1 << (k - 1)
+        nxt: dict[bytes, tuple[int, ...]] = {}
         for h in _ENUM_CACHE[k - 1]:
-            base = h.edges()
-            for mask in range(1 << (k - 1)):
-                edges = base + [(u, k - 1) for u in range(k - 1) if mask >> u & 1]
-                g = Graph.from_edges(k, edges)
-                c = canonical_form(g)
-                if c not in nxt:
-                    nxt[c] = g
-        _ENUM_CACHE[k] = sorted(
-            nxt.values(), key=lambda g: (g.edge_count(), canonical_form(g)))
+            base = h.neighbor_masks()
+            for mask in range(top):
+                nb = tuple(m | top if mask >> u & 1 else m
+                           for u, m in enumerate(base)) + (mask,)
+                nxt.setdefault(_canonical_code(nb), nb)
+        # the degree sum is twice the edge count, so this is the documented order
+        order = sorted(nxt, key=lambda c: (sum(map(int.bit_count, nxt[c])), c))
+        _ENUM_CACHE[k] = [Graph._of_masks(nxt[c]) for c in order]
     graphs = _ENUM_CACHE[n]
     if connected_only:
         graphs = [g for g in graphs if g.n > 0 and is_connected(g)]

@@ -101,9 +101,12 @@ def _initial_ideal(sub):
     """Squarefree initial ideal of the binomial edge ideal of sub: the lead
     masks of its closed-form lex basis over the 2n variables.
 
-    The few most recent labelled graphs are cached, so verification's
-    squarefree check reads the ideal the oracle has just built for the same
-    component instead of computing its Groebner basis again."""
+    The few most recent labelled graphs are cached.  Verification's
+    squarefree check reads from here the ideal the oracle has just built
+    for the same component, when the oracle built one.  When the oracle
+    memo answered instead, from an isomorphic component met earlier, no
+    ideal was built, and the check builds it: 38 of the 180 bases built in
+    a sweep over n <= 6 are built only for the check."""
     return initial_ideal(lex_groebner(sub), 2 * sub.n)
 
 
@@ -147,6 +150,9 @@ def initial_ideals_of(g):
 # ---------------------------------------------------------------------------
 # structural solver
 
+_structural_memo: dict = {}
+
+
 def _quiet(rule, detail):
     """The note of a sub-solve: only the top-level call is traced."""
 
@@ -179,18 +185,20 @@ def _solve(nb, budget, memo, note):
     records each deduction; sub-solves get _quiet, so the trace covers the
     top-level call only.
 
-    memo maps (nb, budget) to the interval; this is the one place it is
-    written.  The mask tuple and the labelled graph's (n, edge list)
-    determine each other, so the memo hits on exactly the sub-solves an
-    edge-list key would; like it, the key is not canonical.  Reusing an
-    isomorphic graph's interval would be sound, and canonical_form is
-    cheap, but a canonical key for n <= 8, measured on the benchmark's
-    structural workload (6 alternating pairs on a 2-vCPU VM), made the
-    pass's wall time 15% shorter (0.61 -> 0.52 s) and the median call 4%
-    and the tail call 16% longer (0.0049 -> 0.0057 s).  The labelled key
-    stays, for the per-call times; it still catches a sub-solve repeated
-    on the same labelled graph.  The oracle memo keeps the canonical key,
-    because its values are costly and isomorphism-invariant."""
+    memo maps (nb, budget) to the interval.  The mask tuple and the
+    labelled graph's (n, edge list) determine each other, so the key names
+    one labelled graph; it is not canonical.  The interval is a pure
+    function of the key, since every rule reads only the masks and the
+    budget, so one memo, `_structural_memo`, serves every call in the
+    process: a sub-solve met again, in the same call or in a later one on
+    another graph, is read back.  Only this function and structural_reg
+    write it.  Reusing an isomorphic graph's interval would be sound too.
+    Measured with a memo per call on the benchmark's structural workload
+    (6 alternating pairs on a 2-vCPU VM), a canonical key for n <= 8 made
+    the pass's wall time 15% shorter (0.61 -> 0.52 s) but the median call
+    4% and the tail call 16% longer (0.0049 -> 0.0057 s), so the key stays
+    labelled.  The oracle memo keeps the canonical key, because its values
+    are costly and isomorphism-invariant."""
     key = (nb, budget)
     if key not in memo:
         memo[key] = _derive(nb, budget, memo, note)
@@ -283,10 +291,15 @@ def _derive(nb, budget, memo, note):
 
 def structural_reg(g, budget=DEFAULT_BUDGET):
     """Regularity by structural rules only; exact when the rules close the
-    gap, otherwise an interval."""
+    gap, otherwise an interval.
+
+    The rules always run on g itself, with the logging note, so the trace
+    is the same however many of its sub-solves the memo already holds."""
     log = []
-    lo, hi = _solve(g.neighbor_masks(), budget, {},
-                    lambda rule, detail: log.append((rule, detail)))
+    nb = g.neighbor_masks()
+    lo, hi = _structural_memo[nb, budget] = _derive(
+        nb, budget, _structural_memo,
+        lambda rule, detail: log.append((rule, detail)))
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 
 

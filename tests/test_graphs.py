@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -85,6 +86,26 @@ class TestComponentGraphs:
 
     def test_empty_graph_has_no_components(self):
         assert gr.component_graphs(gr.empty_graph(0)) == []
+
+    def test_view_is_built_once(self):
+        g = gr.disjoint_union(gr.path_graph(3), gr.complete_graph(2))
+        first, second = gr.component_graphs(g), gr.component_graphs(g)
+        assert first == second
+        assert all(a[0] is b[0] for a, b in zip(first, second))
+
+
+class TestCachedLists:
+    """The per-graph caches and the enumeration cache hand out copies."""
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        g = gr.disjoint_union(bowtie(), gr.path_graph(2))
+        for fn in (gr.component_graphs, gr.maximal_cliques, gr.components,
+                   lambda g: gr.enumerate_graphs(4)):
+            before = fn(g)
+            fn(g).clear()
+            returned = fn(g)
+            returned.append(None)
+            assert fn(g) == before
 
 
 class TestLongestInducedPath:
@@ -349,6 +370,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             gr.canonical_form(gr.empty_graph(9))
 
+    def test_wraps_the_mask_code(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(0, 8)
+            g = gr.Graph.from_edges(n, [(u, v) for u in range(n)
+                                        for v in range(u + 1, n)
+                                        if rng.random() < 0.5])
+            assert gr.canonical_form(g) == gr._canonical_code(g.neighbor_masks())
+
     def test_brute_force_bytes_small_classes(self):
         rng = random.Random(29)
         for n in range(7):
@@ -395,6 +425,13 @@ class TestEnumeration:
         first = [g.edges() for g in gr.enumerate_graphs(4)]
         second = [g.edges() for g in gr.enumerate_graphs(4)]
         assert first == second
+
+    def test_representatives_and_order_pinned(self):
+        # recorded when enumeration still built a Graph for every candidate
+        listing = [(g.n, g.edges()) for n in range(1, 8)
+                   for g in gr.enumerate_graphs(n)]
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
+            "dc95a6ad937f7d1cc052402c52d7a57fbd9eff001f2c67bf525b6df7bd14ebf8")
 
     def test_seven_vertices_match_graph_atlas(self):
         nx = pytest.importorskip("networkx")

@@ -209,6 +209,40 @@ class TestStructural:
         assert rg.structural_reg(g) == rg.structural_reg(g)
 
 
+class TestStructuralMemo:
+    """The process-wide memo against a fresh memo per call."""
+
+    @staticmethod
+    def fresh(g, budget):
+        log = []
+        lo, hi = rg._solve(g.neighbor_masks(), budget, {},
+                           lambda rule, detail: log.append((rule, detail)))
+        return rg.RegularityReport(lo=lo, hi=hi, method="structural",
+                                   trace=tuple(log))
+
+    def test_reports_match_a_fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        cases = [(g, b) for n in range(1, 7) for g in gr.enumerate_graphs(n)
+                 for b in range(4)]
+        expected = [self.fresh(g, b) for g, b in cases]
+        for _ in ("cold", "warm"):
+            assert [rg.structural_reg(g, b) for g, b in cases] == expected
+        assert len(rg._structural_memo) > len(cases)
+
+    def test_repeated_call_derives_only_the_graph(self, monkeypatch):
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        derived = []
+        real = rg._derive
+        monkeypatch.setattr(rg, "_derive", lambda nb, *rest: derived.append(
+            nb) or real(nb, *rest))
+        g = gr.Graph.from_edges(6, HARD6)
+        first = rg.structural_reg(g)
+        assert len(derived) > 1
+        derived.clear()
+        assert rg.structural_reg(g) == first
+        assert derived == [g.neighbor_masks()]
+
+
 class TestMaskSteps:
     """The solver's mask steps against the Graph functions kept as their
     independent references."""
