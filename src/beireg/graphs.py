@@ -172,17 +172,6 @@ def disjoint_union(*graphs):
     return Graph.from_edges(n, edges, labels if any_labels else None)
 
 
-def relabel(g, perm):
-    """Apply the permutation perm (new id = perm[old id])."""
-    edges = [(perm[u], perm[v]) for u, v in g.edges()]
-    labels = None
-    if g.labels is not None:
-        labels = [""] * g.n
-        for old, new in enumerate(perm):
-            labels[new] = g.labels[old]
-    return Graph.from_edges(g.n, edges, labels)
-
-
 # ---------------------------------------------------------------------------
 # mask kernels and their Graph wrappers
 
@@ -388,32 +377,6 @@ def clique_number(g):
     return max(map(len, g._cliques))
 
 
-def is_simplicial(g, v):
-    """True iff the closed neighborhood of v is a clique (equivalently, v
-    lies in exactly one maximal clique)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    nbrs = sorted(g.adj[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in g.adj[a]:
-                return False
-    return True
-
-
-def clique_closure(g, v):
-    """The graph with all non-adjacent neighbors of v joined, making v
-    simplicial."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    edges = set(g.edges())
-    nbrs = sorted(g.adj[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            edges.add((a, b))
-    return Graph.from_edges(g.n, sorted(edges), g.labels)
-
-
 # ---------------------------------------------------------------------------
 # chordality
 
@@ -445,24 +408,6 @@ def is_chordal(g):
         if not progressed:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# cut vertices and splits
-
-def splits_at(g, v):
-    """The split parts at a cut vertex v: one part per component of g - v,
-    each with v added back, as sorted vertex tuples."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    own_comp = next(c for c in components(g) if v in c)
-    rest, old_ids = induced_subgraph(g, [u for u in own_comp if u != v])
-    comps = components(rest)
-    if len(comps) < 2:
-        raise ValueError(f"vertex {v} is not a cut vertex")
-    parts = [tuple(sorted([old_ids[u] for u in comp] + [v])) for comp in comps]
-    parts.sort()
-    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,6 @@ def validate_sig_family(f: SIGFamily) -> Violation | None:
     return None
 
 
-def embed_sig(f: SIGFamily) -> CLFamily:
-    """A strongly-interval family is a CL family as-is."""
-    return CLFamily(ell=f.ell, I=f.I)
-
-
 def member_names(f: CLFamily):
     """Vertex names of the intersection graph, path unions first."""
     return tuple(f"J{j}" for j in range(f.ell + 1)) + tuple(

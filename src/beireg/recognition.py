@@ -176,11 +176,16 @@ def recognize_sig(g):
     """
     if not gr.is_chordal(g):
         return SIGRecognition(False, None)
-    result = recognize_cl(g)
-    if isinstance(result, NotCLReason):
+    return _sig_from_cl(recognize_cl(g))
+
+
+def _sig_from_cl(cl):
+    """recognize_sig's answer for a chordal graph whose recognize_cl result
+    is cl, for a caller that already holds cl."""
+    if isinstance(cl, NotCLReason):
         return SIGRecognition(False, None)
     families = []
-    for part in result.components:
+    for part in cl.components:
         if any(len(u.segments) != 1 for u in part.family.I):
             return SIGRecognition(True, None)
         families.append(iv.SIGFamily(ell=part.family.ell, I=part.family.I))

@@ -192,11 +192,12 @@ def _solve(nb, budget, memo, note):
     budget, so one memo, `_structural_memo`, serves every call in the
     process: a sub-solve met again, in the same call or in a later one on
     another graph, is read back.  Only this function and structural_reg
-    write it.  Reusing an isomorphic graph's interval would be sound too.
-    Measured with a memo per call on the benchmark's structural workload
-    (6 alternating pairs on a 2-vCPU VM), a canonical key for n <= 8 made
-    the pass's wall time 15% shorter (0.61 -> 0.52 s) but the median call
-    4% and the tail call 16% longer (0.0049 -> 0.0057 s), so the key stays
+    write it.  Reusing an isomorphic graph's interval would be sound too,
+    but with the refinement's early exits sub-solves are cheaper than their
+    canonical keys: on the benchmark's structural workload (3 alternating
+    pairs, seeds 201-203, on a 2-vCPU VM) a canonical key for n <= 8 took
+    the pass's wall time from 0.021-0.023 s to 0.041-0.046 s and the tail
+    call from 0.00024-0.00031 s to 0.00044-0.00054 s, so the key stays
     labelled.  The oracle memo keeps the canonical key, because its values
     are costly and isomorphism-invariant."""
     key = (nb, budget)
@@ -206,7 +207,24 @@ def _solve(nb, budget, memo, note):
 
 
 def _derive(nb, budget, memo, note):
-    """The rules behind _solve, applied to a graph not yet in the memo."""
+    """The rules behind _solve, applied to a graph not yet in the memo.
+
+    The budgeted refinement, _refine, stops as soon as it can no longer
+    move the interval, and still returns what the full sweep over every
+    vertex returns.  A split-inequality cap max(hi(G - v), hi(G_v),
+    hi(G_v - v) + 1) (Ohtani, Comm. Algebra 2011) lowers hi only when all
+    three terms are below hi, so the sub-solves at v stop at the first term
+    that is not; that step needs no theorem.  Both loops stop once
+    lo == hi.  Past that point the full sweep could move the interval only
+    by a cap below hi or a floor above lo, which would put hi below lo and
+    raise "bound rules crossed" below.  That cannot happen: every cap is a
+    true upper bound on reg, every floor lo(G - v) is a true lower bound by
+    induced-subgraph monotonicity reg(S/J_{G-v}) <= reg(S/J_G) (Matsuda &
+    Murai, J. Commut. Algebra 2013), and verification's structural check
+    confirms both against the oracle on every class it sweeps.  So the
+    interval, the trace and the exceptions are those of the full sweep,
+    which the tests still run on every class with n <= 6.  G - v is built
+    only when a loop reaches v."""
     n = len(nb)
     parts = gr.component_masks(nb, (1 << n) - 1)
     if len(parts) != 1:
@@ -264,28 +282,47 @@ def _derive(nb, budget, memo, note):
         return lo, hi
 
     if budget > 0:
-        minus = [_drop(nb, v) for v in range(n)]
-        # a vertex in one maximal clique is simplicial: its closure is itself
-        for v in gr.bits(twice):
-            closed = _closure(nb, v)
-            h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
-            h2 = _solve(closed, budget - 1, memo, _quiet)[1]
-            h3 = _solve(_drop(closed, v), budget - 1, memo, _quiet)[1]
-            cap = max(h1, h2, h3 + 1)
-            if cap < hi:
-                hi = cap
-                note("split-inequality", f"vertex {v} caps the value at {cap}")
-        for v in range(n):
-            floor = _solve(minus[v], budget - 1, memo, _quiet)[0]
-            if floor > lo:
-                lo = floor
-                note("deletion-lower-bound",
-                     f"deleting {v} raises the floor to {floor}")
-        if lo == hi:
-            note("sandwich", f"refined bounds meet at {lo}")
-
+        lo, hi = _refine(nb, twice, lo, hi, budget, memo, note)
     if lo > hi:
         raise RuntimeError(f"bound rules crossed: lo={lo} > hi={hi}")
+    return lo, hi
+
+
+def _refine(nb, twice, lo, hi, budget, memo, note):
+    """_derive's budgeted refinement of [lo, hi] on a connected graph whose
+    vertices in two or more maximal cliques are the mask twice: the split
+    inequality caps hi, deletions raise lo, and each sub-solve spends one
+    unit of budget.  _derive's docstring shows why its exits are sound."""
+    minus = {}
+    # a vertex in one maximal clique is simplicial: its closure is itself
+    for v in gr.bits(twice):
+        if lo == hi:
+            break
+        # cap = max(h1, h2, h3 + 1) lowers hi only if every term is below it
+        minus[v] = _drop(nb, v)
+        h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
+        if h1 >= hi:
+            continue
+        closed = _closure(nb, v)
+        h2 = _solve(closed, budget - 1, memo, _quiet)[1]
+        if h2 >= hi:
+            continue
+        cap = max(h1, h2,
+                  _solve(_drop(closed, v), budget - 1, memo, _quiet)[1] + 1)
+        if cap < hi:
+            hi = cap
+            note("split-inequality", f"vertex {v} caps the value at {cap}")
+    for v in range(len(nb)):
+        if lo == hi:
+            break
+        floor = _solve(minus[v] if v in minus else _drop(nb, v),
+                       budget - 1, memo, _quiet)[0]
+        if floor > lo:
+            lo = floor
+            note("deletion-lower-bound",
+                 f"deleting {v} raises the floor to {floor}")
+    if lo == hi:
+        note("sandwich", f"refined bounds meet at {lo}")
     return lo, hi
 
 

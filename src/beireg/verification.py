@@ -110,8 +110,9 @@ def check_one(g, oracle=None):
         results["wl-characterization"] = True
         results["wl-roundtrip"] = True
 
-    sig = rec.recognize_sig(g)
-    results["sig-implies-cl"] = (not sig.is_sig) or cl_ok
+    # recognize_sig(g), reusing cl
+    sig_ok = gr.is_chordal(g) and rec._sig_from_cl(cl).is_sig
+    results["sig-implies-cl"] = (not sig_ok) or cl_ok
 
     report = rg.structural_reg(g)
     results["structural"] = report.lo <= reg <= report.hi

@@ -1,12 +1,113 @@
-"""Independent brute-force oracles the tests check the library against.
+"""Independent brute-force oracles the tests check the library against,
+and reference versions of library steps that only tests need.
 
-Everything here is deliberately naive: exhaustive enumeration and dense
+The oracles are deliberately naive: exhaustive enumeration and dense
 Fraction arithmetic, sharing no code with the implementations under test.
+The graph-level steps (splits, simplicial vertices, clique closures) are
+the references for the structural solver's mask steps, `relabel` and
+`embed_sig` build the inputs of isomorphism and family tests, and
+`reference_refine` is the structural solver's refinement without its early
+exits.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from beireg import graphs as gr
+from beireg import intervals as iv
+from beireg import regularity as rg
+
+
+# ---------------------------------------------------------------------------
+# graph-level steps
+
+def relabel(g, perm):
+    """Apply the permutation perm (new id = perm[old id])."""
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    labels = None
+    if g.labels is not None:
+        labels = [""] * g.n
+        for old, new in enumerate(perm):
+            labels[new] = g.labels[old]
+    return gr.Graph.from_edges(g.n, edges, labels)
+
+
+def is_simplicial(g, v):
+    """True iff the closed neighborhood of v is a clique (equivalently, v
+    lies in exactly one maximal clique)."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    nbrs = sorted(g.adj[v])
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b not in g.adj[a]:
+                return False
+    return True
+
+
+def clique_closure(g, v):
+    """The graph with all non-adjacent neighbors of v joined, making v
+    simplicial."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    edges = set(g.edges())
+    nbrs = sorted(g.adj[v])
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            edges.add((a, b))
+    return gr.Graph.from_edges(g.n, sorted(edges), g.labels)
+
+
+def splits_at(g, v):
+    """The split parts at a cut vertex v: one part per component of g - v,
+    each with v added back, as sorted vertex tuples."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    own_comp = next(c for c in gr.components(g) if v in c)
+    rest, old_ids = gr.induced_subgraph(g, [u for u in own_comp if u != v])
+    comps = gr.components(rest)
+    if len(comps) < 2:
+        raise ValueError(f"vertex {v} is not a cut vertex")
+    parts = [tuple(sorted([old_ids[u] for u in comp] + [v])) for comp in comps]
+    parts.sort()
+    return parts
+
+
+def embed_sig(f):
+    """A strongly-interval family is a CL family as-is."""
+    return iv.CLFamily(ell=f.ell, I=f.I)
+
+
+# ---------------------------------------------------------------------------
+# structural refinement without early exits
+
+def reference_refine(nb, twice, lo, hi, budget, memo, note):
+    """regularity._refine as it was before it stopped early: all three
+    split-inequality sub-graphs are solved at every vertex in two or more
+    maximal cliques, and every deletion is solved, whatever the interval.
+    Put in place of _refine, it runs the whole recursion without exits, so
+    _derive's crossed-bounds check sees every cap and floor."""
+    n = len(nb)
+    minus = [rg._drop(nb, v) for v in range(n)]
+    for v in gr.bits(twice):
+        closed = rg._closure(nb, v)
+        h1 = rg._solve(minus[v], budget - 1, memo, rg._quiet)[1]
+        h2 = rg._solve(closed, budget - 1, memo, rg._quiet)[1]
+        h3 = rg._solve(rg._drop(closed, v), budget - 1, memo, rg._quiet)[1]
+        cap = max(h1, h2, h3 + 1)
+        if cap < hi:
+            hi = cap
+            note("split-inequality", f"vertex {v} caps the value at {cap}")
+    for v in range(n):
+        floor = rg._solve(minus[v], budget - 1, memo, rg._quiet)[0]
+        if floor > lo:
+            lo = floor
+            note("deletion-lower-bound",
+                 f"deleting {v} raises the floor to {floor}")
+    if lo == hi:
+        note("sandwich", f"refined bounds meet at {lo}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import beireg
 from beireg import graphs as gr
 
 from helpers import (brute_canonical_form, brute_is_chordal,
-                     brute_longest_induced_path, brute_maximal_cliques)
+                     brute_longest_induced_path, brute_maximal_cliques,
+                     clique_closure, is_simplicial, relabel, splits_at)
 
 
 def bowtie():
@@ -243,27 +244,27 @@ class TestChordal:
 
 class TestSimplicial:
     def test_path_leaf(self):
-        assert gr.is_simplicial(gr.path_graph(4), 0)
+        assert is_simplicial(gr.path_graph(4), 0)
 
     def test_star_center(self):
-        assert not gr.is_simplicial(gr.star_graph(3), 0)
+        assert not is_simplicial(gr.star_graph(3), 0)
 
     def test_bowtie_apex(self):
-        assert not gr.is_simplicial(bowtie(), 0)
+        assert not is_simplicial(bowtie(), 0)
 
 
 class TestSplits:
     def test_bowtie(self):
-        parts = gr.splits_at(bowtie(), 0)
+        parts = splits_at(bowtie(), 0)
         assert parts == [(0, 1, 2), (0, 3, 4)]
         assert set(parts[0]) & set(parts[1]) == {0}
 
     def test_leaf_raises(self):
         with pytest.raises(ValueError):
-            gr.splits_at(gr.path_graph(4), 0)
+            splits_at(gr.path_graph(4), 0)
 
     def test_star_center_has_three(self):
-        assert len(gr.splits_at(gr.star_graph(3), 0)) == 3
+        assert len(splits_at(gr.star_graph(3), 0)) == 3
 
 
 class TestCliqueMembership:
@@ -276,7 +277,7 @@ class TestCliqueMembership:
                 cliques = gr.maximal_cliques(g)
                 for v in range(g.n):
                     inside = sum(v in c for c in cliques)
-                    assert gr.is_simplicial(g, v) == (inside == 1), g.edges()
+                    assert is_simplicial(g, v) == (inside == 1), g.edges()
 
     def test_gluing_vertex_iff_cut_vertex_in_two_cliques(self):
         for n in range(2, 7):
@@ -284,11 +285,11 @@ class TestCliqueMembership:
                 cliques = gr.maximal_cliques(g)
                 for v in range(g.n):
                     try:
-                        split = gr.splits_at(g, v)
+                        split = splits_at(g, v)
                     except ValueError:
                         split = None
                     glues = split is not None and len(split) == 2 and all(
-                        gr.is_simplicial(sub, ids.index(v)) for sub, ids in
+                        is_simplicial(sub, ids.index(v)) for sub, ids in
                         (gr.induced_subgraph(g, part) for part in split))
                     inside = sum(v in c for c in cliques)
                     assert glues == (inside == 2 and split is not None), \
@@ -297,18 +298,18 @@ class TestCliqueMembership:
 
 class TestCliqueClosure:
     def test_star_center_becomes_complete(self):
-        closed = gr.clique_closure(gr.star_graph(3), 0)
+        closed = clique_closure(gr.star_graph(3), 0)
         assert closed.edges() == gr.complete_graph(4).edges()
 
     def test_simplicial_vertex_unchanged(self):
         g = gr.path_graph(4)
-        assert gr.clique_closure(g, 0).edges() == g.edges()
+        assert clique_closure(g, 0).edges() == g.edges()
 
     def test_fixpoint_iff_simplicial(self):
         for g in gr.enumerate_graphs(5):
             for v in range(g.n):
-                unchanged = gr.clique_closure(g, v).edges() == g.edges()
-                assert unchanged == gr.is_simplicial(g, v)
+                unchanged = clique_closure(g, v).edges() == g.edges()
+                assert unchanged == is_simplicial(g, v)
 
 
 class TestMaskKernels:
@@ -364,7 +365,7 @@ class TestCanonicalForm:
             g = gr.Graph.from_edges(n, edges)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert gr.canonical_form(gr.relabel(g, perm)) == gr.canonical_form(g)
+            assert gr.canonical_form(relabel(g, perm)) == gr.canonical_form(g)
 
     def test_gate(self):
         with pytest.raises(ValueError):
@@ -386,7 +387,7 @@ class TestCanonicalForm:
                 for _ in range(3):
                     perm = list(range(n))
                     rng.shuffle(perm)
-                    h = gr.relabel(g, perm)
+                    h = relabel(g, perm)
                     assert gr.canonical_form(h) == brute_canonical_form(h)
 
     @pytest.mark.parametrize("n, count", [(7, 30), (8, 8)])

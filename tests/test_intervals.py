@@ -6,6 +6,9 @@ import pytest
 from beireg import graphs as gr
 from beireg import intervals as iv
 
+from helpers import embed_sig
+
+
 # the three unions of the showcase family, in half-units
 I1 = iv.IntervalUnion.of((2, 9))            # [1, 4.5]
 I2 = iv.IntervalUnion.of((2, 3), (10, 11))  # [1, 1.5] u [5, 5.5]
@@ -199,7 +202,7 @@ class TestHellyAndEmbedding:
         for _ in range(1000):
             fam = random_sig_family(rng)
             assert iv.validate_sig_family(fam) is None
-            embedded = iv.embed_sig(fam)
+            embedded = embed_sig(fam)
             violation = iv.validate_cl_family(embedded)
             assert violation is None, (fam, violation)
 
@@ -232,7 +235,7 @@ class TestIntersectionGraph:
         rng = random.Random(31)
         for _ in range(50):
             fam = random_sig_family(rng)
-            direct, _ = iv.intersection_graph(iv.embed_sig(fam))
+            direct, _ = iv.intersection_graph(embed_sig(fam))
             members = [iv.IntervalUnion.of((0, 0))] + [
                 iv.IntervalUnion.of((2 * j - 2, 2 * j)) for j in range(1, fam.ell + 1)
             ] + list(fam.I)
@@ -244,7 +247,7 @@ class TestIntersectionGraph:
     def test_path_restriction(self):
         rng = random.Random(37)
         for _ in range(30):
-            fam = iv.embed_sig(random_sig_family(rng))
+            fam = embed_sig(random_sig_family(rng))
             g, _ = iv.intersection_graph(fam)
             sub, _ = gr.induced_subgraph(g, range(fam.ell + 1))
             assert sub.edges() == gr.path_graph(fam.ell + 1).edges()

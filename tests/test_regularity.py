@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,9 @@ from beireg import graphs as gr
 from beireg import regularity as rg
 from beireg.groebner import initial_ideal, lex_groebner
 from beireg.hochster import hochster_regularity
+
+from helpers import (clique_closure, is_simplicial, reference_refine,
+                     splits_at)
 
 
 def bowtie():
@@ -149,13 +153,13 @@ class TestOracle:
         for g in gr.enumerate_graphs(6, connected_only=True):
             for v in range(g.n):
                 try:
-                    parts = gr.splits_at(g, v)
+                    parts = splits_at(g, v)
                 except ValueError:
                     continue
                 if len(parts) != 2:
                     continue
                 subs = [gr.induced_subgraph(g, p)[0] for p in parts]
-                if all(gr.is_simplicial(s, p.index(v)) for s, p in zip(subs, parts)):
+                if all(is_simplicial(s, p.index(v)) for s, p in zip(subs, parts)):
                     assert rg.oracle_reg(g) == sum(rg.oracle_reg(s) for s in subs)
                     break
 
@@ -243,6 +247,93 @@ class TestStructuralMemo:
         assert derived == [g.neighbor_masks()]
 
 
+class TestRefinementExits:
+    """The refinement stops once it can no longer move the interval, with
+    the reports of the full sweep."""
+
+    # sha256 of (n, edges, budget, lo, hi, trace) over every class of
+    # enumerate_graphs(n), n = 1..7, at budgets 0..3 from an empty memo,
+    # recorded before the refinement stopped early
+    REPORTS_SHA256 = \
+        "ede81f14947edff583eb4f949b37f64c3523df41fa83d12ea5149c3d00721397"
+
+    @staticmethod
+    def refinement_calls(monkeypatch, g, budget=rg.DEFAULT_BUDGET):
+        """g's report and the sub-graphs its own refinement solves: with the
+        memo warm every sub-solve is a hit, so _solve sees the top-level
+        calls only."""
+        rg.structural_reg(g, budget)
+        calls = []
+        real = rg._solve
+        monkeypatch.setattr(rg, "_solve", lambda nb, b, *rest: calls.append(
+            (nb, b)) or real(nb, b, *rest))
+        report = rg.structural_reg(g, budget)
+        return report, [nb for nb, b in calls if b == budget - 1]
+
+    def test_reports_match_the_pinned_digest(self, monkeypatch):
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in gr.enumerate_graphs(n):
+                for budget in range(4):
+                    r = rg.structural_reg(g, budget)
+                    digest.update(repr((g.n, g.edges(), budget, r.lo, r.hi,
+                                        r.trace)).encode())
+        assert digest.hexdigest() == self.REPORTS_SHA256
+
+    def test_reference_refinement_gives_the_same_reports(self, monkeypatch):
+        # the reference solves every sub-graph, so _derive's crossed-bounds
+        # check sees every cap and floor of the recursion
+        cases = [(g, b) for n in range(1, 7) for g in gr.enumerate_graphs(n)
+                 for b in range(4)]
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        expected = [rg.structural_reg(g, b) for g, b in cases]
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        monkeypatch.setattr(rg, "_refine", reference_refine)
+        assert [rg.structural_reg(g, b) for g, b in cases] == expected
+
+    def test_cold_borderline_derives_38_graphs(self, monkeypatch,
+                                               cl_borderline):
+        # 564 without the exits
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        derived = []
+        real = rg._derive
+        monkeypatch.setattr(rg, "_derive", lambda nb, *rest: derived.append(
+            nb) or real(nb, *rest))
+        report = rg.structural_reg(cl_borderline)
+        assert len(derived) == 38
+        assert (report.lo, report.hi) == (7, 7)
+        assert report.trace == (("gluing", "split at 1 gives [7, 7]"),
+                                ("sandwich", "bounds meet at 7"))
+
+    def test_gap_closed_by_split_inequality_skips_deletions(self,
+                                                            monkeypatch):
+        g = gr.star_graph(3)
+        nb = g.neighbor_masks()
+        report, calls = self.refinement_calls(monkeypatch, g)
+        assert report.trace == (
+            ("split-inequality", "vertex 0 caps the value at 2"),
+            ("sandwich", "refined bounds meet at 2"))
+        closed = rg._closure(nb, 0)
+        assert calls == [rg._drop(nb, 0), closed, rg._drop(closed, 0)]
+
+    def test_g_minus_v_at_hi_skips_both_closures(self, monkeypatch):
+        # vertex 0 lowers hi to 4; hi(G - 1) is already 4
+        g = gr.Graph.from_edges(7, [(0, 3), (0, 5), (0, 6), (1, 4), (1, 5),
+                                    (1, 6), (2, 4), (2, 5), (2, 6), (3, 6),
+                                    (4, 5)])
+        nb = g.neighbor_masks()
+        report, calls = self.refinement_calls(monkeypatch, g)
+        assert report.trace == (
+            ("split-inequality", "vertex 0 caps the value at 4"),)
+        assert (report.lo, report.hi) == (3, 4)
+        assert sum(1 in c for c in gr.maximal_cliques(g)) >= 2
+        minus = rg._drop(nb, 1)
+        assert rg._structural_memo[minus, rg.DEFAULT_BUDGET - 1][1] >= 4
+        closed = rg._closure(nb, 1)
+        assert closed not in calls and rg._drop(closed, 1) not in calls
+
+
 class TestMaskSteps:
     """The solver's mask steps against the Graph functions kept as their
     independent references."""
@@ -256,11 +347,11 @@ class TestMaskSteps:
                     closed = rg._closure(nb, v)
                     assert [(u, w) for u, m in enumerate(closed)
                             for w in gr.bits(m) if u < w] == \
-                        gr.clique_closure(g, v).edges()
+                        clique_closure(g, v).edges()
                     if sum(v in c for c in cliques) != 2:
                         continue
                     try:
-                        expected = gr.splits_at(g, v)
+                        expected = splits_at(g, v)
                     except ValueError:
                         expected = None
                     split = rg._split(nb, v)

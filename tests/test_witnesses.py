@@ -4,6 +4,9 @@ from beireg import graphs as gr
 from beireg import regularity as rg
 from beireg import witnesses as wt
 
+from helpers import clique_closure, is_simplicial, splits_at
+
+
 # canonical forms (hex) of the hits of search_l2(r, wbar, max_omega), in
 # order, as an independent search over every edge pattern around a fixed
 # maximum clique found them
@@ -74,9 +77,9 @@ class TestGenLrc:
     def test_apex_closure_is_complete(self):
         # closing the apex of a length-2 witness joins all its neighbors
         g = wt.gen_lrc(2, 3, 4)
-        closed = gr.clique_closure(g, 0)
+        closed = clique_closure(g, 0)
         assert closed.edge_count() == g.n * (g.n - 1) // 2
-        assert not gr.is_simplicial(g, 0) and gr.is_simplicial(closed, 0)
+        assert not is_simplicial(g, 0) and is_simplicial(closed, 0)
 
     def test_length_one_needs_r_one(self):
         with pytest.raises(ValueError):
@@ -122,10 +125,10 @@ class TestGenLrw:
         # vertex "2" of the (3,4,5) witness splits into the first clique
         # and the rest, both seeing it as a simplicial vertex
         g = wt.gen_lrw(3, 4, 5)
-        parts = gr.splits_at(g, 1)
+        parts = splits_at(g, 1)
         assert len(parts) == 2
         subs = [gr.induced_subgraph(g, p)[0] for p in parts]
-        assert all(gr.is_simplicial(s, p.index(1)) for s, p in zip(subs, parts))
+        assert all(is_simplicial(s, p.index(1)) for s, p in zip(subs, parts))
         assert sorted(len(p) for p in parts) == [3, 6]
 
     def test_order_violation(self):
