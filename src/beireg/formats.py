@@ -93,23 +93,18 @@ def parse_graph_json(text):
         raise ParseError(f"'labels' must be a list of {n} strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
-    seen = set()
-    pairs = []
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ParseError(f"edge {e!r} is not a pair")
-        u, v = e
-        if not (_is_int(u) and _is_int(v)):
-            raise ParseError(f"edge {e!r} has a non-integer endpoint")
-        if u == v:
-            raise ParseError(f"self-loop edge {u} {v}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u} {v}")
-        seen.add(key)
-        pairs.append(key)
+
+    def pairs():
+        # shape only; Graph.from_edges checks the rest as each edge is yielded
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ParseError(f"edge {e!r} is not a pair")
+            if not (_is_int(e[0]) and _is_int(e[1])):
+                raise ParseError(f"edge {e!r} has a non-integer endpoint")
+            yield e
+
     try:
-        return gr.Graph.from_edges(n, pairs, labels)
+        return gr.Graph.from_edges(n, pairs(), labels)
     except ValueError as exc:
         raise ParseError(str(exc))
 

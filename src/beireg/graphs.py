@@ -72,7 +72,7 @@ class Graph:
                 raise ValueError(f"self-loop edge {u} {v}")
             a, b = (u, v) if u < v else (v, u)
             if a < 0 or b >= n:
-                raise ValueError(f"edge {u} {v} out of range for n={n}")
+                raise ValueError(f"edge {a} {b} out of range for n={n}")
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge {u} {v}")
             seen.add((a, b))

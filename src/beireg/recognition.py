@@ -63,27 +63,23 @@ def _build_component_certificate(sub, old_ids, length, path):
     """Run the constructive direction on one connected component with
     ell = clique count, given its longest induced path; returns its
     certificate."""
-    on_path = set(path)
-    off_path = [v for v in range(sub.n) if v not in on_path]
     position = {v: j for j, v in enumerate(path)}
+    off_path = [v for v in range(sub.n) if v not in position]
 
     unions = []
     for u in off_path:
         neigh = sorted(position[w] for w in sub.adj[u] if w in position)
         if not neigh:
             raise CertificateError("off-path vertex with no path neighbor")
+        # maximal runs lie two or more positions apart: every gap exceeds 2
         runs = _component_runs(neigh)
-        prev_end = None
         segments = []
         for start, count in runs:
             if count < 2:
                 raise CertificateError("path-neighborhood run of a single vertex")
-            if prev_end is not None and prev_end + 2 > start:
-                raise CertificateError("path-neighborhood runs too close")
             # positions start..start+count-1 adjacent: union segment
             # [start, start + count - 1 - 1/2] in real units
             segments.append((2 * start, 2 * (start + count - 1) - 1))
-            prev_end = start + count - 1
         unions.append(iv.IntervalUnion.of(*segments))
 
     family = iv.CLFamily(ell=length, I=tuple(unions))
@@ -189,9 +185,7 @@ def _sig_from_cl(cl):
         if any(len(u.segments) != 1 for u in part.family.I):
             return SIGRecognition(True, None)
         families.append(iv.SIGFamily(ell=part.family.ell, I=part.family.I))
-    for fam in families:
-        if iv.validate_sig_family(fam) is not None:
-            return SIGRecognition(True, None)
+    # cl passed validate_cl_family; on single segments that is validate_sig_family
     return SIGRecognition(True, tuple(families))
 
 
@@ -213,13 +207,19 @@ class NotWLReason:
     omega: int
 
 
+def _path_and_clique_edges(path, clique):
+    """The edges of the path and of the clique, as (min, max) pairs."""
+    return ({(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+            | {(a, b) for a in clique for b in clique if a < b})
+
+
 def recognize_wl(g):
     """Recognize connected graphs decomposable as path + clique + connectors.
 
     Gate: ell = n - omega + 1.  On success the deterministic longest induced
-    path and the deterministic maximum clique always meet in exactly two
-    consecutive path vertices, and the remaining edges all join a path
-    vertex to a clique-only vertex.
+    path and the deterministic maximum clique meet in path positions t and
+    t + 1, and the other edges join a path vertex to a clique-only vertex.
+    validate_wl_decomposition owns every check; CertificateError if it fails.
     """
     if g.n == 0 or not gr.is_connected(g):
         raise ValueError("recognition is defined for connected graphs only")
@@ -231,20 +231,10 @@ def recognize_wl(g):
         return NotWLReason(ell=length, n=n, omega=omega)
     best = next(c for c in cliques if len(c) == omega)
     clique = frozenset(best)
-    shared = [v for v in path if v in clique]
-    if len(shared) != 2:
-        raise CertificateError(f"path and maximum clique share {len(shared)} vertices")
-    positions = sorted(path.index(v) for v in shared)
-    if positions[1] != positions[0] + 1:
-        raise CertificateError("shared clique vertices not consecutive on the path")
-    t = positions[0]
-    if set(path) | clique != set(range(n)):
-        raise CertificateError("path and clique do not cover the graph")
-    path_edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    clique_edges = {(min(a, b), max(a, b))
-                    for a in clique for b in clique if a < b}
-    h_edges = frozenset((u, v) for u, v in g.edges()
-                        if (u, v) not in path_edges and (u, v) not in clique_edges)
+    # -1 when the path misses the clique; the validator rejects it
+    t = next((j for j, v in enumerate(path) if v in clique), -1)
+    covered = _path_and_clique_edges(path, clique)
+    h_edges = frozenset(e for e in g.edges() if e not in covered)
     d = WLDecomposition(path=path, clique=clique, t=t, h_edges=h_edges)
     problem = validate_wl_decomposition(g, d)
     if problem is not None:
@@ -285,16 +275,14 @@ def validate_wl_decomposition(g, d) -> str | None:
         return "path and clique do not cover the vertex set"
     # edge cover: path edges + clique edges + h edges, with h edges joining
     # path vertices to clique-only vertices
-    path_edges = {(min(a, b), max(a, b)) for a, b in zip(d.path, d.path[1:])}
-    clique_edges = {(min(a, b), max(a, b))
-                    for a in d.clique for b in d.clique if a < b}
     u_only = d.clique - set(d.path)
     for u, v in d.h_edges:
         if not g.has_edge(u, v):
             return f"h edge {u}-{v} missing from the graph"
         if not ((u in u_only and v in set(d.path)) or (v in u_only and u in set(d.path))):
             return f"h edge {u}-{v} does not join a path vertex to a clique-only vertex"
-    covered = path_edges | clique_edges | {(min(u, v), max(u, v)) for u, v in d.h_edges}
+    covered = _path_and_clique_edges(d.path, d.clique) | {
+        (min(u, v), max(u, v)) for u, v in d.h_edges}
     actual = set(g.edges())
     if covered != actual:
         missing = actual - covered

@@ -4,10 +4,10 @@ and reference versions of library steps that only tests need.
 The oracles are deliberately naive: exhaustive enumeration and dense
 Fraction arithmetic, sharing no code with the implementations under test.
 The graph-level steps (splits, simplicial vertices, clique closures) are
-the references for the structural solver's mask steps, `relabel` and
-`embed_sig` build the inputs of isomorphism and family tests, and
-`reference_refine` is the structural solver's refinement without its early
-exits.
+the references for the structural solver's mask steps, `relabel`,
+`embed_sig` and `random_sig_family` build the inputs of isomorphism and
+family tests, and `reference_refine` is the structural solver's refinement
+without its early exits.
 """
 
 from collections import namedtuple
@@ -77,6 +77,18 @@ def splits_at(g, v):
 def embed_sig(f):
     """A strongly-interval family is a CL family as-is."""
     return iv.CLFamily(ell=f.ell, I=f.I)
+
+
+def random_sig_family(rng):
+    """A single-interval family with 2 <= ell <= 9 and up to five
+    intervals [a, b], a an integer and a < b < ell, drawn from rng."""
+    ell = rng.randint(2, 9)
+    unions = []
+    for _ in range(rng.randint(0, 5)):
+        a = rng.randint(0, ell - 1)
+        b = rng.randint(2 * a + 1, 2 * ell - 1)
+        unions.append(iv.IntervalUnion.of((2 * a, b)))
+    return iv.SIGFamily(ell, tuple(unions))
 
 
 # ---------------------------------------------------------------------------

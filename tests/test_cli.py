@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from beireg import cli
 from beireg import graphs as gr
+from beireg import recognition as rec
 from beireg import regularity as rg
 from beireg import verification as vf
 
@@ -264,6 +266,22 @@ class TestVerify:
         for name in failing:
             assert report.checks[name].counterexamples
 
+    @pytest.mark.parametrize("validator, kind, fails", [
+        ("validate_cl_certificate", "cl", 8),
+        ("validate_wl_decomposition", "wl", 7),
+    ])
+    def test_rejected_witness_is_a_counterexample(self, monkeypatch, validator,
+                                                  kind, fails):
+        # a witness its validator rejects is reported, not raised
+        monkeypatch.setattr(rec, validator, lambda g, cert: "boom")
+        report = vf.run_verification(max_n=4)
+        assert not report.all_passed
+        for name in (f"{kind}-roundtrip", f"{kind}-characterization"):
+            tally = report.checks[name]
+            assert (tally.passed, tally.failed) == (18 - fails, fails)
+            assert len(tally.counterexamples) == fails
+        assert report.checks["sig-implies-cl"].failed == 0
+
     def test_check_one_builds_each_basis_once(self, monkeypatch):
         # the squarefree check reads the ideals the oracle has just built
         built = []
@@ -335,3 +353,43 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert rg.ORACLE_MAX_N_ENV in err
+
+
+class TestOutputPin:
+    """Every command's observable output, pinned by one digest: a change
+    that alters any byte of stdout or stderr, or any exit code, on these
+    invocations changes the digest."""
+
+    FIXTURES = ["cl_borderline.edges", "cl_borderline.json", "cl_example.edges",
+                "cl_example.json", "wl_example.edges", "wl_example.json"]
+    # sha256 over (argv, exit code, stdout, stderr) of every invocation
+    DIGEST = "33f5a64b899bdbb4f75372c5dafd9ecae709e944c2ccfc669fd98bec86b3814a"
+    # sha256 of the stdout of `verify --max-n 6 --compact`
+    VERIFY_N6 = "4dc8ca8a3e174dc723b8a45a374114b622e1c311b9f614e4cfb1fb8d7bc08a7a"
+
+    def invocations(self):
+        for name in self.FIXTURES:
+            path = f"fixtures/{name}"
+            yield ["invariants", path]
+            for kind in ("cl", "wl", "sig"):
+                yield ["recognize", kind, path]
+            for method in ("auto", "structural", "oracle"):
+                yield ["reg", path, "--method", method]
+        for kind in ("lrc", "lrw"):
+            for ell in range(1, 5):
+                for r in range(1, 5):
+                    for bound in range(1, 5):
+                        argv = ["gen", kind, str(ell), str(r), str(bound)]
+                        yield argv
+                        yield argv + ["--verify"]
+        yield ["verify", "--max-n", "6", "--compact"]
+
+    def test_cli_output_digest(self, capsys, fixtures_dir):
+        digest = hashlib.sha256()
+        for argv in self.invocations():
+            real = [str(fixtures_dir / a[len("fixtures/"):])
+                    if a.startswith("fixtures/") else a for a in argv]
+            code, out, err = run(capsys, *real)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_N6
+        assert digest.hexdigest() == self.DIGEST

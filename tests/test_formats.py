@@ -55,6 +55,24 @@ class TestGraphJson:
         with pytest.raises(fm.ParseError):
             fm.parse_graph_json("{nope")
 
+    @pytest.mark.parametrize("edges, message", [
+        ("[[1, 1]]", "self-loop edge 1 1"),
+        ("[[0, 5]]", "edge 0 5 out of range for n=3"),
+        ("[[5, 0]]", "edge 0 5 out of range for n=3"),
+        ("[[0, 1], [1, 0]]", "duplicate edge 1 0"),
+        ("[[0, 1], [0]]", "edge [0] is not a pair"),
+        # with several faults, the first faulty edge in input order, as in
+        # the text format
+        ("[[0, 5], [0, 5]]", "edge 0 5 out of range for n=3"),
+        ("[[0, 1], [0, 1], [2, 2]]", "duplicate edge 0 1"),
+        ("[[1, 1], [0, true]]", "self-loop edge 1 1"),
+        ("[[0, 1], [1, 0], [0]]", "duplicate edge 1 0"),
+    ])
+    def test_first_faulty_edge_reported(self, edges, message):
+        with pytest.raises(fm.ParseError) as err:
+            fm.parse_graph_json(f'{{"n": 3, "edges": {edges}}}')
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("edge", ['[0, "1"]', "[0, 1.0]", "[1.0, 0]",
                                       "[0, true]", "[false, 1]", "[0, null]",
                                       "[0, [1]]"])

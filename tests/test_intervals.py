@@ -6,7 +6,7 @@ import pytest
 from beireg import graphs as gr
 from beireg import intervals as iv
 
-from helpers import embed_sig
+from helpers import embed_sig, random_sig_family
 
 
 # the three unions of the showcase family, in half-units
@@ -184,16 +184,6 @@ class TestValidateSIGFamily:
     def test_multi_segment(self):
         fam = iv.SIGFamily(5, (iv.IntervalUnion.of((0, 1), (8, 9)),))
         assert iv.validate_sig_family(fam) is not None
-
-
-def random_sig_family(rng):
-    ell = rng.randint(2, 9)
-    unions = []
-    for _ in range(rng.randint(0, 5)):
-        a = rng.randint(0, ell - 1)
-        b = rng.randint(2 * a + 1, 2 * ell - 1)
-        unions.append(iv.IntervalUnion.of((2 * a, b)))
-    return iv.SIGFamily(ell, tuple(unions))
 
 
 class TestHellyAndEmbedding:

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from beireg import graphs as gr
 from beireg import intervals as iv
 from beireg import recognition as rec
+from beireg import regularity as rg
+
+from helpers import embed_sig, random_sig_family
 
 
 class TestRecognizeCL:
@@ -106,6 +111,25 @@ class TestRecognizeSIG:
                 if rec.recognize_sig(g).is_sig:
                     assert isinstance(rec.recognize_cl(g), rec.CLCertificate)
 
+    def test_sig_families_realize_the_clique_bound(self):
+        # the definition side of "strongly interval implies CL": the
+        # intersection graph of a single-interval family is recognized, with
+        # ell = c = the family's ell, and reg = ell where the oracle reaches
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(400):
+            fam = random_sig_family(rng)
+            g, _ = iv.intersection_graph(embed_sig(fam))
+            cert = rec.recognize_cl(g)
+            assert isinstance(cert, rec.CLCertificate), fam
+            assert [part.family.ell for part in cert.components] == [fam.ell]
+            assert gr.ell(g) == len(gr.maximal_cliques(g)) == fam.ell
+            assert rec.recognize_sig(g).is_sig, fam
+            if g.n <= 8:
+                assert rg.oracle_reg(g) == fam.ell, fam
+                checked += 1
+        assert checked == 179
+
 
 class TestRecognizeWL:
     def test_wl_showcase(self, wl_example):
@@ -130,6 +154,21 @@ class TestRecognizeWL:
     def test_disconnected_raises(self):
         with pytest.raises(ValueError):
             rec.recognize_wl(gr.disjoint_union(gr.path_graph(2), gr.path_graph(2)))
+
+    def test_validator_rejection_raises(self, monkeypatch, wl_example):
+        monkeypatch.setattr(rec, "validate_wl_decomposition",
+                            lambda g, d: "boom")
+        with pytest.raises(rec.CertificateError, match="boom"):
+            rec.recognize_wl(wl_example)
+
+    def test_validator_judges_a_broken_clique(self, monkeypatch):
+        # P4 passes the gate (ell = 3 = n - omega + 1); offered the non-edge
+        # {0, 3} as its maximum clique, the recognizer builds a decomposition
+        # and the validator, not a recognizer check, rejects it
+        monkeypatch.setattr(gr, "maximal_cliques", lambda g: [(0, 3)])
+        with pytest.raises(rec.CertificateError,
+                           match="failed validation: clique misses edge 0-3"):
+            rec.recognize_wl(gr.path_graph(4))
 
     def test_characterization_small(self):
         for n in range(1, 6):
@@ -161,3 +200,26 @@ class TestValidateWLDecomposition:
             path=d.path, clique=d.clique, t=d.t,
             h_edges=frozenset(list(d.h_edges)[:-1]))
         assert rec.validate_wl_decomposition(wl_example, bad) is not None
+
+    MEETING = "clique does not meet the path in exactly the two indexed vertices"
+
+    @pytest.mark.parametrize("g, path, clique, t, problem", [
+        # the star K_{1,3}: a maximum clique meets a longest path in one vertex
+        (gr.Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)]), (2, 3, 1), {0, 3}, 0,
+         MEETING),
+        # K_{2,3}: a maximum clique misses a longest path
+        (gr.Graph.from_edges(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]),
+         (2, 4, 1), {0, 3}, 0, MEETING),
+        # a triangle as the path: three shared vertices, so a chord
+        (gr.complete_graph(3), (0, 1, 2), {0, 1, 2}, 0, "path has chord 0-2"),
+        # the recognizer's t when the path misses the clique
+        (gr.path_graph(4), (0, 1, 2, 3), {0, 1}, -1, "index t out of range"),
+        # t past the last path edge
+        (gr.path_graph(4), (0, 1, 2, 3), {0, 1}, 3, "index t out of range"),
+        # t naming the pair (1, 2), where the clique {0, 1} is met at (0, 1)
+        (gr.path_graph(4), (0, 1, 2, 3), {0, 1}, 1, MEETING),
+    ])
+    def test_wrong_meeting_rejected(self, g, path, clique, t, problem):
+        d = rec.WLDecomposition(path=path, clique=frozenset(clique), t=t,
+                                h_edges=frozenset())
+        assert rec.validate_wl_decomposition(g, d) == problem
