@@ -61,10 +61,12 @@ def cmd_recognize(args):
         _emit(fm.cl_certificate_to_jsonable(result), args)
         return EXIT_OK
     if args.kind == "wl":
-        if g.n == 0 or not gr.is_connected(g):
+        try:
+            result = rec.recognize_wl(g)
+        except ValueError:
+            # recognize_wl owns the connectivity check
             print("error: wl recognition needs a connected graph", file=sys.stderr)
             return EXIT_USAGE
-        result = rec.recognize_wl(g)
         if isinstance(result, rec.NotWLReason):
             _emit({"recognized": False, "ell": result.ell,
                    "n": result.n, "omega": result.omega}, args)

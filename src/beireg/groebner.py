@@ -182,8 +182,15 @@ class MonomialIdeal:
             if not 0 < m < 1 << nvars:
                 raise ValueError(
                     f"generator mask {m} is not a nonempty set of {nvars} variables")
-        minimal = [m for m in masks
-                   if not any(o != m and o & m == o for o in masks)]
+        # a mask that is not minimal has a minimal mask inside it, with
+        # fewer bits, so kept before the mask is met
+        minimal = []
+        for m in sorted(masks, key=int.bit_count):
+            for o in minimal:
+                if o & m == o:
+                    break
+            else:
+                minimal.append(m)
         return cls(nvars=nvars, gens=tuple(sorted(minimal)))
 
 

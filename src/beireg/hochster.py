@@ -53,6 +53,16 @@ face, and only the generators through both v and w are tested.  The
 largest nonempty size caps the degrees, and the scan goes down from the
 top and stops at degrees whose h + 1 cannot beat its floor.
 
+Before that, a core is screened through the link of one vertex v.  After
+the loop over W - x, every R(W - x) is at most F = max(floor, best), so
+Delta_{W - v} has no homology in the degrees h >= F.  The exact sequence
+of the pair (Delta_W, Delta_{W - v}) then embeds H~_h(Delta_W) in
+H~_{h-1}(lk v), and a link with no homology mod 2 (so none over Q, see
+below) in the degrees F - 1 to |W| - 4 proves jj(W) <= F without the
+core's own faces.  The link's faces are the faces of Delta_W through v,
+built by the same rule from v, and v is a vertex with the most generators
+through it, which tends to have the fewest of them.
+
 The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, and one more bitset marks the singleton generators.  The
@@ -60,15 +70,23 @@ generators inside W are all of them with through[v] cleared for every v
 outside W, read for vertices 0-15 from two 256-entry tables that hold the
 union of through[v] over each byte of vertices; a set reaching past vertex
 15, in the rings of 18 and 20 variables, takes a loop over its vertices
-instead.  The domination test for v scans only the generators through v,
-and one bitset of the generators they cover settles every candidate u at
-once.  A join factor grows by flood fill over these bitsets.  A generator
-bitset becomes a list of vertex masks only where a vertex is scanned for
-domination, and a per-sweep dict keeps each such list.
+instead.  The union of a generator bitset is read the same way, from one
+256-entry table per 8 generator indices.  The domination test for v ORs,
+over the generators g through v, a bitset kept per (g, v): the generators
+through every vertex of g but v.  That settles every candidate u at once.
+A join factor grows by flood fill over these bitsets.
 
-All ranks are computed by exact integer elimination that takes the
-columns in order and pivots on short rows with unit entries, so the result
-is the characteristic-zero value with no floating point anywhere.
+Homology is computed over GF(2) first.  A boundary column is an int
+bitset over the row indices, and elimination XORs columns on their top
+row.  rank over GF(2) <= rank over Q, so a Betti number that is 0 mod 2
+is 0 over Q: that proves most of a sweep's zeros, and every link screen.
+It cannot prove a nonzero one.  The 6-vertex real projective plane has
+homology mod 2 in degree 2 and none over Q, so its quotient has
+regularity 3 over GF(2) and 2 over Q (Bruns & Herzog, Cohen-Macaulay
+Rings, 5.3).  Wherever GF(2) reports homology in a core, exact integer
+elimination on the same two maps confirms or overrules it.  It takes the
+columns in order and pivots on short rows with unit entries, so every
+value is the characteristic-zero one, with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -140,6 +158,90 @@ def _rank(columns):
     return rank
 
 
+def _rank_mod2(columns):
+    """Rank over GF(2) of a matrix given as int bitset columns over its row
+    indices: each column is cleared by XOR with the kept column of its top
+    row until its top row is new, and is then kept."""
+    kept = {}
+    for col in columns:
+        while col:
+            top = col.bit_length()
+            pivot = kept.get(top)
+            if pivot is None:
+                kept[top] = col
+                break
+            col ^= pivot
+    return len(kept)
+
+
+def _top_homology(levels, low, high, root=0, exact=True):
+    """The top degree h in [low, high] in which the chain complex of levels
+    has nonzero reduced homology, or None.  levels[k] lists the faces of
+    size k, each a vertex mask that also carries the vertices of root,
+    which the boundary map skips, and levels[0] is the one empty face.
+
+    Over GF(2) unless exact.  rank over GF(2) <= rank over Q, so a zero
+    Betti number mod 2 proves the rational one zero; when exact, only a
+    degree with homology mod 2 has its rational Betti number computed, by
+    _rank on the same two maps."""
+    ranks = {}
+
+    def rank(k, mod2):
+        """Rank of the boundary map from the faces of size k to those of
+        size k - 1, and 0 past the largest face."""
+        if not 0 < k < len(levels):
+            return 0
+        if (k, mod2) not in ranks:
+            if mod2:
+                row = {f: 1 << i for i, f in enumerate(levels[k - 1])}
+                columns = []
+                for f in levels[k]:
+                    col = 0
+                    for v in bits(f & ~root):
+                        col |= row[f & ~(1 << v)]
+                    columns.append(col)
+                ranks[k, mod2] = _rank_mod2(columns)
+            else:
+                row = {f: i for i, f in enumerate(levels[k - 1])}
+                columns = []
+                for f in levels[k]:
+                    col = {}
+                    sign = 1
+                    for v in bits(f & ~root):
+                        col[row[f & ~(1 << v)]] = sign
+                        sign = -sign
+                    columns.append(col)
+                ranks[k, mod2] = _rank(columns)
+        return ranks[k, mod2]
+
+    def betti(h, mod2):
+        return len(levels[h + 1]) - rank(h + 1, mod2) - rank(h + 2, mod2)
+
+    for h in range(min(high, len(levels) - 2), low - 1, -1):
+        if not betti(h, True):
+            continue
+        if not exact:
+            return h
+        rational = betti(h, False)
+        if rational < 0:
+            raise RuntimeError("negative Betti number: rank computation bug")
+        if rational > 0:
+            return h
+    return None
+
+
+def _byte_unions(masks):
+    """One table per 8 masks, built by doubling as in graphs.bits: entry b
+    of table j is the OR of masks[8 j + i] over the set bits i of b."""
+    tables = []
+    for start in range(0, len(masks), 8):
+        table = [0]
+        for m in masks[start:start + 8]:
+            table += [union | m for union in table]
+        tables.append(table)
+    return tables
+
+
 class _RestrictedSweep:
     """Sweep machinery for one squarefree ideal, given by its
     inclusion-minimal generators.  A set of generators is an int bitset
@@ -155,31 +257,35 @@ class _RestrictedSweep:
             if g & (g - 1) == 0:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
-        # for vertices 0-7 and 8-15, built by doubling as in graphs.bits
+        # for vertices 0-7 and 8-15, and the union of the generators over
+        # the set bits of each byte of generator indices
         padded = self.through + [0] * (16 - len(self.through))
-        self._byte_through = []
-        for offset in (0, 8):
-            table = [0]
-            for v in range(offset, offset + 8):
-                table += [gen_set | padded[v] for gen_set in table]
-            self._byte_through.append(table)
+        self._byte_through = _byte_unions(padded[:16])
+        self._byte_gens = _byte_unions(gens)
+        # _covers[v]: for each generator g through v, (its bit, g, the
+        # generators through every vertex of g but v), all generators when
+        # g is v alone
+        self._covers = [[] for _ in self.through]
+        for i, g in enumerate(gens):
+            verts = bits(g)
+            for v in verts:
+                containing = -1
+                for w in verts:
+                    if w != v:
+                        containing &= self.through[w]
+                self._covers[v].append((1 << i, g, containing))
         # R(W) by vertex set W: exact values, and upper bounds found below
         # a threshold
         self._exact: dict[int, int] = {0: 0}
         self._upper: dict[int, int] = {}
-        self._listed: dict[int, tuple[list[int], int]] = {}
 
-    def _masks(self, gen_set):
-        """(vertex masks, their union) of a generator bitset, kept for the
-        rest of the sweep."""
-        hit = self._listed.get(gen_set)
-        if hit is None:
-            masks = [self.gens[i] for i in bits(gen_set)]
-            union = 0
-            for g in masks:
-                union |= g
-            hit = self._listed[gen_set] = (masks, union)
-        return hit
+    def _union(self, gen_set):
+        """The union of the vertex masks of the generators of gen_set."""
+        union = 0
+        for table in self._byte_gens:
+            union |= table[gen_set & 0xFF]
+            gen_set >>= 8
+        return union
 
     def _without(self, gen_set, verts):
         """The generators of gen_set that miss every vertex of verts."""
@@ -200,7 +306,7 @@ class _RestrictedSweep:
         flood fill over the generators through each vertex reached.  For
         sigma the union of its generators the groups partition sigma, so
         no factor is a bare simplex (cone)."""
-        through = self.through
+        through, union = self.through, self._union
         groups = []
         while sigma:
             group = fresh = sigma & -sigma
@@ -210,7 +316,7 @@ class _RestrictedSweep:
                 for v in bits(fresh):
                     here = through[v] & internal
                     comp |= here
-                    reach |= self._masks(here)[1]
+                    reach |= union(here)
                 fresh = reach & ~group
                 group |= fresh
             groups.append((group, comp))
@@ -232,37 +338,41 @@ class _RestrictedSweep:
         dominations, never a wrong one.)  For such a u, g with u swapped
         for v contains g2 exactly when g contains g2 minus v, so the test
         for all u at once is one bitset: covers, the generators that
-        contain g2 minus v for some g2 through v."""
-        through = self.through
+        contain g2 minus v for some g2 through v, an OR of the _covers
+        entries.  u is dominating when no generator outside covers passes
+        through it, and the least such u is taken."""
+        union = self._union
         for v in verts:
-            through_v, near = self._masks(through[v] & internal)
+            near = covers = 0
+            for bit, g2, containing in self._covers[v]:
+                if internal & bit:
+                    near |= g2
+                    covers |= containing
             others = sigma & ~near  # the candidates u
-            if not others:
-                continue
-            covers = 0
-            for g2 in through_v:
-                containing = internal
-                for w in bits(g2 & ~(1 << v)):
-                    containing &= through[w]
-                covers |= containing
-            for u in bits(others):
-                if not through[u] & internal & ~covers:
-                    return v, u
+            if others:
+                dominating = others & ~union(internal & ~covers)
+                if dominating:
+                    return v, (dominating & -dominating).bit_length() - 1
         return None
 
     # -- homology of a core ------------------------------------------------
 
-    def _faces(self, sigma, internal):
-        """The faces of the restriction to sigma, whose generators are the
-        bitset internal and none a single vertex, as one list of vertex
-        masks per size, from the empty face to the largest.  Each face F
-        carries the vertices above its largest that extend it.  F + v + w,
-        for v < w two of them, is a face unless a generator through both v
-        and w lies in it, since every other generator there lies in F + v
-        or F + w; so only those generators are tested."""
+    def _faces(self, sigma, internal, root=0):
+        """The faces of the restriction to sigma that contain root, whose
+        generators are the bitset internal and none a single vertex, as one
+        list of vertex masks per size above root's, from root itself to the
+        largest.  Each face F carries the vertices, above its largest
+        vertex outside root, that extend it.  F + v + w, for v < w two of
+        them, is a face unless a generator through both v and w lies in it,
+        since every other generator there lies in F + v or F + w; so only
+        those generators are tested."""
         through, without = self.through, self._without
-        level = [(0, sigma)]
-        levels = [[0]]
+        ext = 0
+        for w in bits(sigma & ~root):
+            if not without(internal & through[w], sigma & ~(root | 1 << w)):
+                ext |= 1 << w
+        level = [(root, ext)]
+        levels = [[root]]
         while True:
             grown = []
             for face, ext in level:
@@ -281,56 +391,45 @@ class _RestrictedSweep:
             level = grown
 
     def _core_jj(self, core, internal, floor):
-        """jj(core) when it exceeds floor, else None, from the ranks of the
-        boundary maps of the restriction to core itself.  core is a set
-        that no rule before the core rule shrinks, splits or closes, so its
-        generator bitset internal holds at least two generators and
-        homology in degree h needs h <= |core| - 3, besides a face of size
-        h + 1."""
+        """jj(core) when it exceeds floor, else None, from the boundary
+        maps of the restriction to core itself.  core is a set that no rule
+        before the core rule shrinks, splits or closes, so its generator
+        bitset internal holds at least two generators and homology in
+        degree h needs h <= |core| - 3, besides a face of size h + 1."""
         top, low = core.bit_count() - 3, max(floor, 0)
         if top < low:
             return None
-        levels = self._faces(core, internal)
-        ranks: dict[int, int] = {}
+        h = _top_homology(self._faces(core, internal), low, top)
+        return None if h is None else h + 1
 
-        def rank_of(k):
-            """Rank of the boundary map from the faces of size k to those
-            of size k - 1 (augmented: the empty face is the one face of
-            size 0), and 0 past the largest face."""
-            if k >= len(levels):
-                return 0
-            if k not in ranks:
-                row_index = {f: i for i, f in enumerate(levels[k - 1])}
-                columns = []
-                for f in levels[k]:
-                    col = {}
-                    sign = 1
-                    for v in bits(f):
-                        col[row_index[f & ~(1 << v)]] = sign
-                        sign = -sign
-                    columns.append(col)
-                ranks[k] = _rank(columns)
-            return ranks[k]
+    def _link_acyclic(self, core, internal, floor):
+        """True when the link of one vertex v in the restriction to core
+        shows that jj(core) <= floor, given that R(core - x) <= floor for
+        every vertex x of core.
 
-        for h in range(min(top, len(levels) - 2), low - 1, -1):
-            betti = len(levels[h + 1]) - rank_of(h + 1) - rank_of(h + 2)
-            if betti < 0:
-                raise RuntimeError("negative Betti number: rank computation bug")
-            if betti > 0:
-                return h + 1
-        return None
+        H~_h(Delta_{core - v}) is then 0 for h >= floor, and the exact
+        sequence of the pair (Delta_core, Delta_{core - v}), whose relative
+        homology is that of the star of v modulo the link, embeds
+        H~_h(Delta_core) in H~_{h-1}(lk v).  Homology of the core in the
+        degrees floor <= h <= |core| - 3 therefore needs homology of the
+        link in degree h - 1, and the link has none there when it has none
+        mod 2.  v is a vertex with the most generators through it, and the
+        link's faces are the faces through v, v left out."""
+        low, high = max(floor, 0) - 1, core.bit_count() - 4
+        if high < low:
+            return True
+        through = self.through
+        v = max(bits(core), key=lambda x: (through[x] & internal).bit_count())
+        levels = self._faces(core, internal, 1 << v)
+        return _top_homology(levels, low, high, root=1 << v,
+                             exact=False) is None
 
     # -- the recursion -----------------------------------------------------
 
     def _apexes(self, sigma, internal):
         """The vertices of sigma in no generator of the bitset internal:
         each is the apex of a cone in every restriction through it."""
-        through = self.through
-        apexes = 0
-        for v in bits(sigma):
-            if not through[v] & internal:
-                apexes |= 1 << v
-        return apexes
+        return sigma & ~self._union(internal)
 
     def _solve(self, sigma, internal, floor):
         """R(sigma), the largest jj over the subsets of sigma, when it
@@ -348,7 +447,7 @@ class _RestrictedSweep:
             # singles: a vertex that is itself a generator lies in no face
             singles = internal & self.singles
             if singles:
-                dropped = self._masks(singles)[1]
+                dropped = self._union(singles)
                 sigma &= ~dropped
                 internal = self._without(internal, dropped)
                 continue
@@ -405,12 +504,19 @@ class _RestrictedSweep:
         for v in verts:
             best = max(best, solve(sigma & ~(1 << v), internal & ~through[v],
                                    max(floor, best)))
-        top = self._core_jj(sigma, internal, max(floor, best))
+        # every R(sigma - v) is now at most max(floor, best).  The faces
+        # through one vertex are a fraction of the core's, so the link
+        # screen pays on cores of every size, and a core's faces are built
+        # only where it fails.
+        floor = max(floor, best)
+        if self._link_acyclic(sigma, internal, floor):
+            return best
+        top = self._core_jj(sigma, internal, floor)
         return best if top is None else top
 
     def regularity(self):
         everything = (1 << len(self.gens)) - 1
-        return self._solve(self._masks(everything)[1], everything, -1)
+        return self._solve(self._union(everything), everything, -1)
 
 
 def hochster_regularity(ideal: MonomialIdeal, max_vertices: int = HOCHSTER_MAX_VERTICES) -> int:

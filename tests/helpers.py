@@ -6,8 +6,9 @@ Fraction arithmetic, sharing no code with the implementations under test.
 The graph-level steps (splits, simplicial vertices, clique closures) are
 the references for the structural solver's mask steps, `relabel`,
 `embed_sig` and `random_sig_family` build the inputs of isomorphism and
-family tests, and `reference_refine` is the structural solver's refinement
-without its early exits.
+family tests, `reference_refine` is the structural solver's refinement
+without its early exits, and `reference_dominated` is the Hochster sweep's
+domination scan before its covers were precomputed.
 """
 
 from collections import namedtuple
@@ -254,11 +255,28 @@ def brute_dominates(gen_supports, tau, v, u):
     return True
 
 
-def naive_jj(gen_supports, sigma):
-    """jj(sigma): h + 1 for the top degree h in which the complex
-    restricted to sigma (the subsets of sigma that contain no generator)
-    has nonzero reduced homology, or None when it is acyclic; every subset
-    of sigma is listed and the ranks are dense rational ones."""
+def gf2_rank(matrix):
+    """Rank over GF(2) of a dense integer matrix, by Gaussian elimination
+    on its entries mod 2."""
+    m = [[x % 2 for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                m[r] = [(x + y) % 2 for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def naive_betti(gen_supports, sigma):
+    """The reduced rational Betti numbers of the complex restricted to
+    sigma (the subsets of sigma that contain no generator), as a dict
+    degree -> Betti number from degree -1 up; every subset of sigma is
+    listed and the ranks are dense rational ones."""
     gens = [frozenset(s) for s in gen_supports]
     sigma = sorted(sigma)
     faces_by_size = {0: [frozenset()]}
@@ -284,11 +302,43 @@ def naive_jj(gen_supports, sigma):
     ranks = {}
     for k in range(0, len(sigma) + 2):
         ranks[k] = _fraction_rank(boundary(k)) if faces_by_size.get(k) else 0
-    for h in range(max_dim, -2, -1):
-        betti = len(faces_by_size.get(h + 1, [])) - ranks[h + 1] - ranks[h + 2]
-        assert betti >= 0
-        if betti > 0:
-            return h + 1
+    betti = {h: len(faces_by_size.get(h + 1, [])) - ranks[h + 1] - ranks[h + 2]
+             for h in range(-1, max_dim + 1)}
+    assert min(betti.values()) >= 0
+    return betti
+
+
+def naive_jj(gen_supports, sigma):
+    """jj(sigma): h + 1 for the top degree h in which the complex
+    restricted to sigma has nonzero reduced homology, or None when it is
+    acyclic, from naive_betti."""
+    betti = naive_betti(gen_supports, sigma)
+    return max((h + 1 for h, b in betti.items() if b), default=None)
+
+
+def reference_dominated(sweep, sigma, verts, internal):
+    """hochster._RestrictedSweep._dominated as it was before its covers
+    were precomputed: for each v, the generators containing g2 minus v are
+    found by intersecting through[w] over the vertices w of each g2 through
+    v, and the candidates u are tried in increasing order."""
+    through = sweep.through
+    for v in verts:
+        through_v = [sweep.gens[i] for i in gr.bits(through[v] & internal)]
+        near = 0
+        for g2 in through_v:
+            near |= g2
+        others = sigma & ~near
+        if not others:
+            continue
+        covers = 0
+        for g2 in through_v:
+            containing = internal
+            for w in gr.bits(g2 & ~(1 << v)):
+                containing &= through[w]
+            covers |= containing
+        for u in gr.bits(others):
+            if not through[u] & internal & ~covers:
+                return v, u
     return None
 
 

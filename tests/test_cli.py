@@ -84,7 +84,22 @@ class TestRecognize:
         f.write_text("n 4\n0 1\n2 3\n")
         code, _, err = run(capsys, "recognize", "wl", str(f))
         assert code == 1
-        assert "connected" in err
+        assert err == "error: wl recognition needs a connected graph\n"
+
+    def test_wl_connectivity_is_judged_by_the_recognizer(
+            self, capsys, tmp_path, monkeypatch):
+        # the CLI reports recognize_wl's ValueError and has no check of its
+        # own: a connected graph the recognizer refuses gets the same line
+        f = tmp_path / "p3.edges"
+        f.write_text("n 3\n0 1\n1 2\n")
+
+        def refuse(g):
+            raise ValueError("recognition is defined for connected graphs only")
+
+        monkeypatch.setattr(rec, "recognize_wl", refuse)
+        code, out, err = run(capsys, "recognize", "wl", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: wl recognition needs a connected graph\n"
 
     def test_sig(self, capsys, tmp_path):
         f = tmp_path / "cat.edges"

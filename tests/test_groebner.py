@@ -171,6 +171,21 @@ class TestInitialIdeal:
         ideal = MonomialIdeal.from_supports(4, [0b0011, 0b0111, 0b1100])
         assert ideal.gens == (0b0011, 0b1100)
 
+    def test_minimalization_matches_pairwise_check(self):
+        # the pass in order of bit count keeps the masks that no other
+        # mask lies inside, in increasing order, with duplicates merged
+        rng = random.Random(109)
+        for _ in range(300):
+            nvars = rng.randint(1, 12)
+            masks = [rng.getrandbits(nvars) & rng.getrandbits(nvars)
+                     | 1 << rng.randrange(nvars)
+                     for _ in range(rng.randint(0, 30))]
+            expected = sorted({m for m in masks
+                               if not any(o != m and o & m == o
+                                          for o in masks)})
+            ideal = MonomialIdeal.from_supports(nvars, masks)
+            assert ideal.gens == tuple(expected), masks
+
     def test_mask_beyond_nvars_rejected(self):
         # two variables cannot carry generators on variables 20-23
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -6,12 +7,15 @@ import pytest
 
 from beireg import graphs as gr
 from beireg import hochster
+from beireg import regularity as rg
 from beireg.groebner import MonomialIdeal, initial_ideal, lex_groebner
 from beireg.graphs import bits
-from beireg.hochster import _rank, _RestrictedSweep, hochster_regularity
+from beireg.hochster import (_rank, _rank_mod2, _RestrictedSweep,
+                             hochster_regularity)
 
-from helpers import (_fraction_rank, brute_dominates, naive_jj,
-                     naive_monomial_regularity, supports)
+from helpers import (_fraction_rank, brute_dominates, gf2_rank, naive_betti,
+                     naive_jj, naive_monomial_regularity, reference_dominated,
+                     supports)
 
 
 def ideal_of(g):
@@ -234,7 +238,7 @@ def test_core_jj_matches_naive():
         sweep = _RestrictedSweep(list(ideal.gens))
         # the sweep's sets lie in the generators' span
         w = ((rng.getrandbits(nverts) | rng.getrandbits(nverts))
-             & sweep._masks((1 << len(ideal.gens)) - 1)[1])
+             & sweep._union((1 << len(ideal.gens)) - 1))
         internal = sum(1 << i for i, g in enumerate(ideal.gens) if g & w == g)
         if internal.bit_count() < 2:
             continue
@@ -272,8 +276,8 @@ def test_domination_is_inherited():
         ideal = random_ideal(rng, nverts, 8, (1, 2, 3))
         sweep = _RestrictedSweep(list(ideal.gens))
         everything = (1 << len(ideal.gens)) - 1
-        span = sweep._masks(everything)[1]
-        singles = sweep._masks(sweep.singles)[1]
+        span = sweep._union(everything)
+        singles = sweep._union(sweep.singles)
         for _ in range(8):
             w = rng.getrandbits(nverts) & span & ~singles
             internal = sweep._without(everything, span & ~w)
@@ -303,7 +307,7 @@ def test_without_matches_vertex_loop():
                                         rng.randint(1, min(3, nverts))))
                        for _ in range(rng.randint(1, 12))})
         sweep = _RestrictedSweep(gens)
-        span = sweep._masks((1 << len(gens)) - 1)[1]
+        span = sweep._union((1 << len(gens)) - 1)
         for _ in range(20):
             gen_set = rng.getrandbits(len(gens))
             verts = rng.getrandbits(nverts) & span
@@ -350,3 +354,240 @@ def test_rank_takes_unit_pivots(monkeypatch):
 
     monkeypatch.setattr(hochster, "gcd", no_gcd)
     assert _rank([{0: 2, 1: 1}, {0: 3, 2: 1}]) == 2
+
+
+# the 10 triangles of the 6-vertex real projective plane (1-based labels);
+# every edge lies in two of them and every vertex link is a 5-cycle
+RP2_TRIANGLES = ["124", "126", "135", "136", "145",
+                 "234", "235", "256", "346", "456"]
+
+
+class TestModTwoScreen:
+    """GF(2) proves a Betti number zero; only exact elimination proves one
+    nonzero."""
+
+    @staticmethod
+    def rp2():
+        """The Stanley-Reisner ideal of RP^2_6: its 10 minimal non-faces,
+        the triples that are not triangles, all cubic."""
+        faces = {frozenset(int(c) - 1 for c in t) for t in RP2_TRIANGLES}
+        return MonomialIdeal.from_supports(
+            6, [mask(*c) for c in combinations(range(6), 3)
+                if frozenset(c) not in faces])
+
+    def test_projective_plane_is_rational(self, monkeypatch):
+        """Over Q, RP^2 is acyclic and reg = 2; over GF(2) it has homology
+        in degree 2, so a sweep that trusted GF(2) would give 3.  The sweep
+        reaches the whole plane as a core at floor 2: its 10 triangles
+        have a boundary map of rank 9 mod 2, and _rank confirms rank 10."""
+        ideal = self.rp2()
+        assert len(ideal.gens) == 10
+        assert all(g.bit_count() == 3 for g in ideal.gens)
+        calls = {"mod2": [], "rational": []}
+        for name, kind in (("_rank_mod2", "mod2"), ("_rank", "rational")):
+            original = getattr(hochster, name)
+
+            def spied(columns, _original=original, _kind=kind):
+                out = _original(columns)
+                calls[_kind].append((len(columns), out))
+                return out
+
+            monkeypatch.setattr(hochster, name, spied)
+        assert hochster_regularity(ideal) == 2
+        assert (10, 9) in calls["mod2"]
+        assert (10, 10) in calls["rational"]
+        assert naive_monomial_regularity(supports(ideal), 6) == 2
+        sweep = _RestrictedSweep(list(ideal.gens))
+        everything = (1 << 10) - 1
+        assert sweep._core_jj(mask(*range(6)), everything, -1) is None
+
+    def test_rank_mod2_matches_dense_reference(self):
+        """_rank_mod2 against dense GF(2) elimination, and never above the
+        rational rank, on integer matrices with entries in -2..2 whose
+        columns include duplicates, sums of two columns and columns that
+        vanish mod 2."""
+        rng = random.Random(89)
+        below = 0
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+            dense = [[rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(ncols)]
+                     for _ in range(nrows)]
+            for row in dense:
+                a, b = rng.randrange(ncols), rng.randrange(ncols)
+                row.append(row[a] + row[b])
+                row.append(row[a])
+            columns = [sum(1 << r for r in range(nrows) if dense[r][c] % 2)
+                       for c in range(ncols + 2)]
+            assert _rank_mod2(columns) == gf2_rank(dense), dense
+            assert _rank_mod2(columns) <= _fraction_rank(dense), dense
+            below += _rank_mod2(columns) < _fraction_rank(dense)
+        assert below >= 20, below
+
+
+def test_union_matches_generator_loop():
+    """The byte-table union of a generator bitset against OR-ing the
+    generators one by one, on up to 20 vertices and 40 generators, so that
+    bitsets reach past several bytes and the last table is partial."""
+    rng = random.Random(97)
+    for _ in range(60):
+        nverts = rng.randint(2, 20)
+        gens = [mask(*rng.sample(range(nverts), rng.randint(1, min(4, nverts))))
+                for _ in range(rng.randint(1, 40))]
+        sweep = _RestrictedSweep(gens)
+        for _ in range(20):
+            gen_set = rng.getrandbits(len(gens))
+            expected = 0
+            for i in bits(gen_set):
+                expected |= gens[i]
+            assert sweep._union(gen_set) == expected, (gens, gen_set)
+        assert sweep._union(0) == 0
+
+
+def test_dominated_matches_reference_scan():
+    """_dominated, on precomputed covers, returns the pair of the scan that
+    intersects through[w] per generator and tries each candidate u, on
+    random sets of random ideals of up to 12 vertices; the sets are taken
+    as the dominated-pair rule sees them, less singletons and apexes."""
+    rng = random.Random(101)
+    found = missed = 0
+    for _ in range(200):
+        nverts = rng.randint(3, 12)
+        ideal = random_ideal(rng, nverts, 14, (1, 2, 2, 3, 3, 4))
+        sweep = _RestrictedSweep(list(ideal.gens))
+        everything = (1 << len(ideal.gens)) - 1
+        span = sweep._union(everything)
+        singles = sweep._union(sweep.singles)
+        for _ in range(6):
+            w = rng.getrandbits(nverts) & span & ~singles
+            internal = sweep._without(everything, span & ~w)
+            w &= ~sweep._apexes(w, internal)
+            pair = sweep._dominated(w, bits(w), internal)
+            assert pair == reference_dominated(sweep, w, bits(w), internal), (
+                ideal.gens, w)
+            found += pair is not None
+            missed += pair is None and internal.bit_count() >= 2
+    assert found >= 100 and missed >= 15, (found, missed)
+
+
+class TestLinkScreen:
+    """A core is skipped when the link of its busiest vertex is acyclic mod 2
+    in degrees floor - 1 .. |core| - 4."""
+
+    @staticmethod
+    def link_betti(ideal, core, v):
+        """Naive rational Betti numbers of the link of v in the restriction
+        to core: the complex on core - v of the generators g - v for g
+        through v and g for the others, inside core."""
+        inside = [g for g in ideal.gens if g & core == g]
+        link_gens = [bits(g & ~(1 << v)) for g in inside]
+        return naive_betti(link_gens, bits(core & ~(1 << v)))
+
+    def test_acyclic_link_has_no_rational_homology(self):
+        """Whenever _link_acyclic is true, the link's rational homology, by
+        the dense reference, vanishes in the screened degrees; random cores
+        of ideals on up to 9 vertices at random floors."""
+        rng = random.Random(103)
+        passed = failed = 0
+        while passed + failed < 150:
+            nverts = rng.randint(4, 9)
+            ideal = random_ideal(rng, nverts, 10, (2, 2, 3, 3, 4))
+            sweep = _RestrictedSweep(list(ideal.gens))
+            w = ((rng.getrandbits(nverts) | rng.getrandbits(nverts))
+                 & sweep._union((1 << len(ideal.gens)) - 1))
+            internal = sum(1 << i for i, g in enumerate(ideal.gens)
+                           if g & w == g)
+            if internal.bit_count() < 2:
+                continue
+            floor = rng.randint(0, w.bit_count() - 3)
+            if not sweep._link_acyclic(w, internal, floor):
+                failed += 1
+                continue
+            passed += 1
+            v = max(bits(w), key=lambda x: (sweep.through[x] & internal)
+                    .bit_count())
+            betti = self.link_betti(ideal, w, v)
+            for h in range(floor - 1, w.bit_count() - 3):
+                assert not betti.get(h), (ideal.gens, w, floor, v, betti)
+        assert passed >= 40 and failed >= 40, (passed, failed)
+
+    def test_screen_off_gives_the_same_values(self, monkeypatch):
+        """Sweeps with the screen forced off agree with the screened ones
+        on in(J_G) of 40 seeded 7- and 8-vertex graphs, and the screen
+        skips cores in them."""
+        rng = random.Random(107)
+        ideals = []
+        while len(ideals) < 40:
+            n = 7 + len(ideals) % 2
+            g = gr.Graph.from_edges(n, [(u, v) for u in range(n)
+                                        for v in range(u + 1, n)
+                                        if rng.random() < 0.45])
+            if gr.is_connected(g):
+                ideals.append(ideal_of(g))
+        skipped = Counter()
+        screen = _RestrictedSweep._link_acyclic
+
+        def counted(self, core, internal, floor):
+            out = screen(self, core, internal, floor)
+            skipped[out] += 1
+            return out
+
+        monkeypatch.setattr(_RestrictedSweep, "_link_acyclic", counted)
+        screened = [hochster_regularity(ideal) for ideal in ideals]
+        assert skipped[True] >= 100, skipped
+        monkeypatch.setattr(_RestrictedSweep, "_link_acyclic",
+                            lambda *args: False)
+        assert [hochster_regularity(ideal) for ideal in ideals] == screened
+
+
+class TestSweepPins:
+    """Values and recursion size of the sweep, recorded before its kernel
+    was screened mod 2 and read generator unions from byte tables.  A
+    change to the kernel that alters a value, or the sets the recursion
+    visits, changes a pin."""
+
+    # sha256 over (n, edges, oracle_reg) of every connected class with
+    # 2 <= n <= 7 (995 classes) and 30 seeded connected 8-vertex graphs
+    VALUES_SHA256 = \
+        "c0bc9c6a5c55a4a4afd5125af014ab2b58940f907f8f52365226cfe224d09f94"
+    # _solve and _branch calls over in(J_G) of every connected class with
+    # n <= 6
+    SOLVE_CALLS, BRANCH_CALLS = 9041, 4160
+
+    @staticmethod
+    def seeded_connected_8():
+        rng = random.Random(83)
+        out = []
+        while len(out) < 30:
+            g = gr.Graph.from_edges(8, [(u, v) for u in range(8)
+                                        for v in range(u + 1, 8)
+                                        if rng.random() < 0.45])
+            if gr.is_connected(g):
+                out.append(g)
+        return out
+
+    def test_oracle_values_match_the_pinned_digest(self, monkeypatch):
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        rg._initial_ideal.cache_clear()
+        graphs = [g for n in range(2, 8)
+                  for g in gr.enumerate_graphs(n, connected_only=True)]
+        assert len(graphs) == 995
+        digest = hashlib.sha256()
+        for g in graphs + self.seeded_connected_8():
+            digest.update(repr((g.n, g.edges(), rg.oracle_reg(g))).encode())
+        assert digest.hexdigest() == self.VALUES_SHA256
+
+    def test_recursion_size_is_pinned(self, monkeypatch):
+        calls = Counter()
+        for name in ("_solve", "_branch"):
+            original = getattr(_RestrictedSweep, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(_RestrictedSweep, name, counted)
+        for n in range(1, 7):
+            for g in gr.enumerate_graphs(n, connected_only=True):
+                hochster_regularity(ideal_of(g))
+        assert (calls["_solve"], calls["_branch"]) == (
+            self.SOLVE_CALLS, self.BRANCH_CALLS)
