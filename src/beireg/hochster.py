@@ -67,11 +67,12 @@ The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, and one more bitset marks the singleton generators.  The
 generators inside W are all of them with through[v] cleared for every v
-outside W, read for vertices 0-15 from two 256-entry tables that hold the
-union of through[v] over each byte of vertices; a set reaching past vertex
-15, in the rings of 18 and 20 variables, takes a loop over its vertices
-instead.  The union of a generator bitset is read the same way, from one
-256-entry table per 8 generator indices.  The domination test for v ORs,
+outside W, read for vertices 0-15 from two tables that hold the union of
+through[v] over each byte of vertices, each sized to the vertices the
+ideal has in its byte; a set reaching past vertex 15, in the rings of 18
+and 20 variables, takes a loop over its vertices instead.  The union of a
+generator bitset is read the same way, from one table per 8 generator
+indices.  The domination test for v ORs,
 over the generators g through v, a bitset kept per (g, v): the generators
 through every vertex of g but v.  That settles every candidate u at once.
 A join factor grows by flood fill over these bitsets.
@@ -257,10 +258,11 @@ class _RestrictedSweep:
             if g & (g - 1) == 0:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
-        # for vertices 0-7 and 8-15, and the union of the generators over
-        # the set bits of each byte of generator indices
-        padded = self.through + [0] * (16 - len(self.through))
-        self._byte_through = _byte_unions(padded[:16])
+        # for vertices 0-7 and 8-15, sized to the vertices there are (a
+        # stand-in [0] when there are none past 7), and the union of the
+        # generators over the set bits of each byte of generator indices
+        low, *high = _byte_unions(self.through[:16])
+        self._byte_through = low, high[0] if high else [0]
         self._byte_gens = _byte_unions(gens)
         # _covers[v]: for each generator g through v, (its bit, g, the
         # generators through every vertex of g but v), all generators when

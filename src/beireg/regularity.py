@@ -206,8 +206,11 @@ def _solve(nb, budget, memo, note):
     return memo[key]
 
 
-def _derive(nb, budget, memo, note):
+def _derive(nb, budget, memo, note, g=None):
     """The rules behind _solve, applied to a graph not yet in the memo.
+    g, when given, is the Graph whose neighbour masks are nb: its maximal
+    cliques and longest induced path are read from its caches, which the
+    caller may already have filled, instead of being recomputed.
 
     The budgeted refinement, _refine, stops as soon as it can no longer
     move the interval, and still returns what the full sweep over every
@@ -240,7 +243,7 @@ def _derive(nb, budget, memo, note):
     if n == 1:
         note("path-base", "single vertex")
         return 0, 0
-    cliques = gr.clique_masks(nb)
+    cliques = gr.clique_masks(nb) if g is None else g._clique_masks
     if len(cliques) == 1:
         note("complete-base", f"K_{n}")
         return 1, 1
@@ -249,7 +252,7 @@ def _derive(nb, budget, memo, note):
         note("path-base", f"path of length {n - 1}")
         return n - 1, n - 1
 
-    lo = gr.induced_path(nb)[0]
+    lo = (gr.induced_path(nb) if g is None else g._path)[0]
     hi = _component_upper(n, [c.bit_count() for c in cliques])
     if lo == hi:
         note("sandwich", f"bounds meet at {lo}")
@@ -331,12 +334,15 @@ def structural_reg(g, budget=DEFAULT_BUDGET):
     gap, otherwise an interval.
 
     The rules always run on g itself, with the logging note, so the trace
-    is the same however many of its sub-solves the memo already holds."""
+    is the same however many of its sub-solves the memo already holds.
+    They read g's maximal cliques and longest induced path from g's own
+    caches, so a caller that has asked for them (verification's check_one)
+    does not pay for them twice."""
     log = []
     nb = g.neighbor_masks()
     lo, hi = _structural_memo[nb, budget] = _derive(
         nb, budget, _structural_memo,
-        lambda rule, detail: log.append((rule, detail)))
+        lambda rule, detail: log.append((rule, detail)), g)
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 
 

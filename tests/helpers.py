@@ -7,8 +7,10 @@ The graph-level steps (splits, simplicial vertices, clique closures) are
 the references for the structural solver's mask steps, `relabel`,
 `embed_sig` and `random_sig_family` build the inputs of isomorphism and
 family tests, `reference_refine` is the structural solver's refinement
-without its early exits, and `reference_dominated` is the Hochster sweep's
-domination scan before its covers were precomputed.
+without its early exits, `reference_dominated` is the Hochster sweep's
+domination scan before its covers were precomputed, and
+`unfiltered_enumeration` is graph enumeration before it skipped the
+extensions that are never kept.
 """
 
 from collections import namedtuple
@@ -188,6 +190,26 @@ def brute_is_chordal(g):
             if len(seen) == k:
                 return False
     return True
+
+
+def unfiltered_enumeration(max_n):
+    """The neighbour-mask tuples of enumerate_graphs(k), k = 0..max_n, by
+    the loop that codes every extension of every class: each graph on
+    k - 1 vertices with a new vertex joined to each subset of its
+    vertices, the first candidate met in each class kept, in the order
+    (edge count, canonical code)."""
+    levels = [[()]]
+    for k in range(1, max_n + 1):
+        top = 1 << (k - 1)
+        kept = {}
+        for base in levels[-1]:
+            for mask in range(top):
+                nb = tuple(m | top if mask >> u & 1 else m
+                           for u, m in enumerate(base)) + (mask,)
+                kept.setdefault(gr._canonical_code(nb), nb)
+        order = sorted(kept, key=lambda c: (sum(map(int.bit_count, kept[c])), c))
+        levels.append([kept[c] for c in order])
+    return levels
 
 
 def brute_canonical_form(g):

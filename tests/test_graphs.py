@@ -10,9 +10,21 @@ import pytest
 import beireg
 from beireg import graphs as gr
 
+from beireg import verification as vf
+
 from helpers import (brute_canonical_form, brute_is_chordal,
                      brute_longest_induced_path, brute_maximal_cliques,
-                     clique_closure, is_simplicial, relabel, splits_at)
+                     clique_closure, is_simplicial, relabel, splits_at,
+                     unfiltered_enumeration)
+
+
+def spy_codes(monkeypatch):
+    """Count the calls of graphs._canonical_code from here on."""
+    calls = []
+    real = gr._canonical_code
+    monkeypatch.setattr(gr, "_canonical_code",
+                        lambda nb: calls.append(nb) or real(nb))
+    return calls
 
 
 def bowtie():
@@ -434,6 +446,31 @@ class TestEnumeration:
         assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
             "dc95a6ad937f7d1cc052402c52d7a57fbd9eff001f2c67bf525b6df7bd14ebf8")
 
+    def test_filter_keeps_the_unfiltered_representatives(self):
+        assert [[g.neighbor_masks() for g in gr.enumerate_graphs(n)]
+                for n in range(8)] == unfiltered_enumeration(7)
+
+    def test_eight_vertices_pinned(self, monkeypatch):
+        # OEIS A000088 and A001349; the digest was recorded with the loop
+        # that coded every extension
+        monkeypatch.setattr(gr, "ENUMERATION_MAX_N", 8)
+        try:
+            graphs = gr.enumerate_graphs(8)
+            assert len(graphs) == 12346
+            assert len(gr.enumerate_graphs(8, connected_only=True)) == 11117
+            listing = [(g.n, g.edges()) for g in graphs]
+            assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
+                "c6713d5d9a426a57cd1d9ac3c360955d96b05655a487ca93b605a3f10a6e701d")
+        finally:
+            gr._ENUM_CACHE.pop(8, None)
+
+    def test_cold_seven_vertices_code_3132_candidates(self, monkeypatch):
+        # helpers.unfiltered_enumeration codes 11291
+        monkeypatch.setattr(gr, "_ENUM_CACHE", {})
+        calls = spy_codes(monkeypatch)
+        gr.enumerate_graphs(7)
+        assert len(calls) == 3132
+
     def test_seven_vertices_match_graph_atlas(self):
         nx = pytest.importorskip("networkx")
         atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
@@ -444,6 +481,39 @@ class TestEnumeration:
         assert {gr.canonical_form(g) for g in graphs} == expected
         assert len(gr.enumerate_graphs(7, connected_only=True)) == 853
         assert sum(nx.is_connected(h) for h in atlas) == 853
+
+
+class TestCodeCache:
+    """Enumeration hands out each representative with the canonical code it
+    computed, and canonical_form reads it from there."""
+
+    def test_representatives_carry_their_code(self):
+        for n in range(8):
+            for g in gr.enumerate_graphs(n):
+                assert gr.canonical_form(g) == gr._canonical_code(
+                    g.neighbor_masks())
+
+    def test_cached_code_leaves_equality_and_hash(self):
+        for g in gr.enumerate_graphs(5):
+            gr.canonical_form(g)
+            fresh = gr.Graph.from_edges(g.n, g.edges())
+            assert g == fresh and hash(g) == hash(fresh)
+
+    def test_gate_comes_before_the_cache(self):
+        g = gr.cycle_graph(9)
+        assert g._code == gr._canonical_code(g.neighbor_masks())
+        with pytest.raises(ValueError):
+            gr.canonical_form(g)
+
+    def test_verify_codes_only_the_components(self, monkeypatch):
+        # each connected class is its own only component and already has
+        # its code, so only the components of the others are coded
+        monkeypatch.setattr(gr, "_ENUM_CACHE", {})
+        for n in range(7):
+            gr.enumerate_graphs(n)
+        calls = spy_codes(monkeypatch)
+        assert vf.run_verification(6).all_passed
+        assert len(calls) == 78
 
 
 def test_import_leaves_numpy_out():

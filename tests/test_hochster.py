@@ -317,6 +317,32 @@ def test_without_matches_vertex_loop():
             assert got == sum(1 << i for i in expected), (gens, verts)
 
 
+def test_without_tables_sized_to_the_ideal():
+    """_without against the per-vertex loop on ideals whose last vertex is
+    each of 0..15, so the second byte table has 1 (a stand-in) to 256
+    entries, on every vertex set of the span up to 8 vertices and on
+    random ones above."""
+    rng = random.Random(67)
+    for nverts in range(1, 17):
+        for _ in range(3):
+            gens = sorted({mask(*rng.sample(range(nverts),
+                                            rng.randint(1, min(3, nverts))))
+                           for _ in range(rng.randint(1, 10))}
+                          | {mask(nverts - 1)})
+            sweep = _RestrictedSweep(gens)
+            assert len(sweep._byte_through[1]) == 1 << max(nverts - 8, 0)
+            span = sweep._union((1 << len(gens)) - 1)
+            sets = (range(1 << nverts) if nverts <= 8
+                    else [rng.getrandbits(nverts) for _ in range(300)])
+            for verts in sets:
+                verts &= span
+                gen_set = rng.getrandbits(len(gens))
+                expected = gen_set
+                for v in bits(verts):
+                    expected &= ~sweep.through[v]
+                assert sweep._without(gen_set, verts) == expected, (gens, verts)
+
+
 def _random_column(rng, nrows, values):
     return {r: rng.choice(values) for r in range(nrows) if rng.random() < 0.4}
 

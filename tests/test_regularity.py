@@ -212,6 +212,28 @@ class TestStructural:
         g = gr.Graph.from_edges(6, HARD6)
         assert rg.structural_reg(g) == rg.structural_reg(g)
 
+    def test_top_level_reads_the_graph_caches(self, monkeypatch, cl_borderline):
+        # the sub-solves still run the kernels, on smaller or closed graphs
+        graphs = [gr.Graph.from_edges(6, HARD6), cl_borderline] + [
+            gr.Graph.from_edges(n, g.edges()) for n in (5, 6)
+            for g in gr.enumerate_graphs(n, connected_only=True)]
+        for g in graphs:
+            gr.longest_induced_path(g)
+            gr.maximal_cliques(g)
+        calls = []
+        for name in ("induced_path", "clique_masks"):
+            real = getattr(gr, name)
+            monkeypatch.setattr(gr, name, lambda nb, real=real: calls.append(
+                nb) or real(nb))
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        seen = 0
+        for g in graphs:
+            calls.clear()
+            rg.structural_reg(g)
+            assert g.neighbor_masks() not in calls
+            seen += len(calls)
+        assert seen
+
 
 class TestStructuralMemo:
     """The process-wide memo against a fresh memo per call."""
