@@ -209,6 +209,10 @@ def main(argv=None):
     except (fm.ParseError, OSError, rg.OracleGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:
+        # the path and clique kernels recurse once per vertex they add
+        print(f"error: graph too large: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

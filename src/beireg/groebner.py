@@ -25,7 +25,8 @@ variable 0 most significant: int order is then the lex order, multiplying
 and dividing monomials is adding and subtracting ints, and a divisibility
 test is one subtraction checked at a guard bit per field.  The width comes
 from a degree bound (no exponent of an S-polynomial or its reductions
-exceeds 2n <= 20), not from a setting.
+exceeds 2n <= 20), not from a setting.  Reducers are found through an
+index on the first variable of each lead.
 """
 
 from __future__ import annotations
@@ -47,13 +48,11 @@ def _certify(basis, nvars):
     (Buchberger's product criterion; Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, 2.9, Prop. 4), so skipping it keeps the
     certificate complete.  Each difference is reduced at its lead, by the
-    element of least lead that divides it, until its two terms cancel; a
-    lead that no element divides leaves a nonzero remainder.  Which divisor
-    is taken does not change the verdict: reducing a monic difference
-    leaves a monic difference, so a set of them passes exactly when it is
-    a Groebner basis.  Every element must be homogeneous with its lead
-    above its trail; otherwise ValueError is raised, because a reduction
-    by a wrong-way pair need not terminate.
+    first divisor the index below finds, until its two terms cancel; a
+    lead that no element divides leaves a nonzero remainder.  Every
+    element must be homogeneous with its lead above its trail; otherwise
+    ValueError is raised, because a reduction by a wrong-way pair need not
+    terminate.
 
     Each mask is packed into an int with a field per variable, variable 0
     most significant, so int order is the lex order, multiplication and
@@ -87,18 +86,15 @@ def _certify(basis, nvars):
             raise ValueError(f"lead {lead:#b} is not above trail {trail:#b}")
         packed.append(pair)
     packed.sort()
-
-    def reduced(m):
-        """m reduced once by the element of least lead that divides it, or
-        None.  A divisor of m is at most m, so the scan stops at the first
-        lead above m."""
-        high = m | guard
-        for lead, trail in packed:
-            if lead > m:
-                return None
-            if (high - lead) & guard == guard:
-                return m - lead + trail
-        return None
+    # The index groups the elements by the field of their lead's first
+    # variable, in lead order.  That variable divides every multiple of the
+    # lead, so the groups of a remainder m's variables hold its divisors.  Any
+    # divisor serves: reducing a monic difference leaves a monic difference,
+    # so a set passes exactly when it is a Groebner basis.
+    groups = [[] for _ in range(nvars)]
+    for pair in packed:
+        groups[(pair[0].bit_length() - 1) // width].append(pair)
+    below = [(1 << f * width) - 1 for f in range(nvars)]
 
     for i, (lead_i, trail_i) in enumerate(packed):
         for lead_k, trail_k in packed[i + 1:]:
@@ -110,8 +106,20 @@ def _certify(basis, nvars):
             while hi != lo:
                 if hi < lo:
                     hi, lo = lo, hi
-                hi = reduced(hi)
-                if hi is None:
+                # a divisor of m is at most m
+                m = rest = hi
+                high = m | guard
+                while rest:
+                    f = (rest.bit_length() - 1) // width
+                    rest &= below[f]
+                    for lead, trail in groups[f]:
+                        if lead > m:
+                            break
+                        if (high - lead) & guard == guard:
+                            hi = m - lead + trail
+                            rest = 0
+                            break
+                if hi == m:
                     # a difference with an irreducible lead is not zero
                     raise NonBinomialError("zero-reduction certificate failed")
 

@@ -369,6 +369,21 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert rg.ORACLE_MAX_N_ENV in err
 
+    # the path DFS and the clique search recurse once per vertex they add:
+    # a 1100-vertex path, and the lrc witness whose apex closes a clique of
+    # about 1100 vertices
+    @pytest.mark.parametrize("argv", [("invariants", "P1100"),
+                                      ("gen", "lrc", "2", "2", "1100")])
+    def test_graph_too_large_for_the_kernels_is_usage_error(
+            self, capsys, tmp_path, argv):
+        p1100 = tmp_path / "p1100.edges"
+        p1100.write_text("n 1100\n" + "".join(f"{i} {i + 1}\n"
+                                              for i in range(1099)))
+        code, out, err = run(capsys, *[str(p1100) if a == "P1100" else a
+                                       for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestOutputPin:
     """Every command's observable output, pinned by one digest: a change

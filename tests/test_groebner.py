@@ -104,25 +104,31 @@ class TestLexGroebner:
             _certify(edges, 8)
 
     def test_certificate_matches_reference(self):
-        # every connected class with n <= 5, and seeded mutants of its
-        # basis: one element dropped, one trail replaced by another
-        # squarefree monomial of its degree below its lead, each also
-        # shuffled out of lead order
+        # every connected class with n <= 5 and a seeded sample of those
+        # with n = 6 and 7, and seeded mutants of its basis: one element
+        # dropped, one trail replaced by another squarefree monomial of its
+        # degree below its lead, each also shuffled out of lead order
+        graphs = [g for n in range(2, 6)
+                  for g in gr.enumerate_graphs(n, connected_only=True)]
+        pick = random.Random(61)
+        for n in (6, 7):
+            graphs += pick.sample(
+                list(gr.enumerate_graphs(n, connected_only=True)), 30)
         rng = random.Random(59)
         verdicts = {True: 0, False: 0}
-        for n in range(2, 6):
-            for g in gr.enumerate_graphs(n, connected_only=True):
-                gb = lex_groebner(g)
-                for basis in [gb, *_mutants(gb, 2 * n, rng)]:
-                    for order in (basis, rng.sample(basis, len(basis))):
-                        expected = reference_certify(order, 2 * n)
-                        try:
-                            _certify(order, 2 * n)
-                            accepted = True
-                        except NonBinomialError:
-                            accepted = False
-                        assert accepted == expected, (g.edges(), order)
-                        verdicts[accepted] += 1
+        for g in graphs:
+            nvars = 2 * g.n
+            gb = lex_groebner(g)
+            for basis in [gb, *_mutants(gb, nvars, rng)]:
+                for order in (basis, rng.sample(basis, len(basis))):
+                    expected = reference_certify(order, nvars)
+                    try:
+                        _certify(order, nvars)
+                        accepted = True
+                    except NonBinomialError:
+                        accepted = False
+                    assert accepted == expected, (g.edges(), order)
+                    verdicts[accepted] += 1
         assert min(verdicts.values()) > 50, verdicts
 
     def test_certificate_requires_lead_above_trail(self):
