@@ -195,14 +195,18 @@ def _byte_bits(offset):
     return table
 
 
-_BYTE_BITS, _HIGH_BYTE_BITS = _byte_bits(0), _byte_bits(8)
+_BYTE_BITS, _HIGH_BYTE_BITS, _TOP_BYTE_BITS = map(_byte_bits, (0, 8, 16))
 
 
 def bits(mask):
     """The set bit positions of a non-negative mask, as an increasing
-    tuple; below 2^16 by two byte-table lookups."""
+    tuple; below 2^16 by two byte-table lookups, below 2^24 (the oracle's
+    rings of 18 and 20 variables) by three, and past that by a loop."""
     if mask < 0x10000:
         return _BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8]
+    if mask < 0x1000000:
+        return (_BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8 & 0xFF]
+                + _TOP_BYTE_BITS[mask >> 16])
     out = []
     while mask:
         low = mask & -mask
@@ -248,6 +252,37 @@ def induced_masks(nb, keep):
                 m = (m & low) | ((m >> 1) & ~low)
             out.append(m)
     return tuple(out)
+
+
+def reverse_cuthill_mckee(nb):
+    """A bandwidth-reducing vertex order of a connected graph given by its
+    neighbour masks (Cuthill & McKee 1969, reversed as in George 1971).
+
+    The start is the vertex of least (degree, label), moved twice to the
+    least such vertex of the last layer of a BFS from it, which finds a
+    pseudo-peripheral vertex.  A BFS from there appends each vertex's
+    unvisited neighbours in increasing (degree, label); the order is that
+    list reversed."""
+    def key(v):
+        return nb[v].bit_count(), v
+
+    start = min(range(len(nb)), key=key)
+    for _ in range(2):
+        seen = layer = 1 << start
+        while layer:
+            last = layer
+            reach = 0
+            for v in bits(layer):
+                reach |= nb[v]
+            layer = reach & ~seen
+            seen |= layer
+        start = min(bits(last), key=key)
+    order, seen = [start], 1 << start
+    for v in order:  # the loop reads what it appends: a FIFO queue
+        fresh = nb[v] & ~seen
+        seen |= fresh
+        order += sorted(bits(fresh), key=key)
+    return order[::-1]
 
 
 def components(g):

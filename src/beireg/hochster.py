@@ -67,12 +67,12 @@ The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, and one more bitset marks the singleton generators.  The
 generators inside W are all of them with through[v] cleared for every v
-outside W, read for vertices 0-15 from two tables that hold the union of
-through[v] over each byte of vertices, each sized to the vertices the
-ideal has in its byte; a set reaching past vertex 15, in the rings of 18
-and 20 variables, takes a loop over its vertices instead.  The union of a
-generator bitset is read the same way, from one table per 8 generator
-indices.  The domination test for v ORs,
+outside W, read for vertices 0-23 from three tables that hold the union
+of through[v] over each byte of vertices, each sized to the vertices the
+ideal has in its byte, so the rings of 18 and 20 variables are covered; a
+set reaching past vertex 23 takes a loop over its vertices instead.  The
+union of a generator bitset is read the same way, from one table per 8
+generator indices.  The domination test for v ORs,
 over the generators g through v, a bitset kept per (g, v): the generators
 through every vertex of g but v.  That settles every candidate u at once.
 A join factor grows by flood fill over these bitsets.
@@ -258,11 +258,11 @@ class _RestrictedSweep:
             if g & (g - 1) == 0:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
-        # for vertices 0-7 and 8-15, sized to the vertices there are (a
-        # stand-in [0] when there are none past 7), and the union of the
+        # for vertices 0-7, 8-15 and 16-23, sized to the vertices there are
+        # (a stand-in [0] for a byte with none), and the union of the
         # generators over the set bits of each byte of generator indices
-        low, *high = _byte_unions(self.through[:16])
-        self._byte_through = low, high[0] if high else [0]
+        tables = _byte_unions(self.through[:24])
+        self._byte_through = tuple(tables + [[0]] * (3 - len(tables)))
         self._byte_gens = _byte_unions(gens)
         # _covers[v]: for each generator g through v, (its bit, g, the
         # generators through every vertex of g but v), all generators when
@@ -291,9 +291,12 @@ class _RestrictedSweep:
 
     def _without(self, gen_set, verts):
         """The generators of gen_set that miss every vertex of verts."""
+        low_byte, high_byte, top_byte = self._byte_through
         if verts < 0x10000:
-            low_byte, high_byte = self._byte_through
             return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8])
+        if verts < 0x1000000:
+            return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8 & 0xFF]
+                               | top_byte[verts >> 16])
         through = self.through
         while verts:
             low = verts & -verts

@@ -15,7 +15,8 @@ Checks per class:
                       recognize_sig answers from recognize_cl's result
   structural          the structural solver's exact value or interval
                       contains the oracle value
-  squarefree          each component's closed-form basis passes its certificate
+  squarefree          each component's closed-form basis passes its
+                      certificate, on the relabelling the oracle sweeps
 
 A witness its validator rejects fails both of its recognizer's checks.  A
 class counts as a counterexample for a check the moment the check's

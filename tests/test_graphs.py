@@ -325,6 +325,17 @@ class TestCliqueClosure:
 
 
 class TestMaskKernels:
+    def test_bits_matches_a_loop_on_each_table(self):
+        """Masks below 2^16, 2^24 and past it, each byte table's edges
+        included."""
+        rng = random.Random(89)
+        masks = [0, 0xFF, 0x100, 0xFFFF, 0x10000, 0xFFFFFF, 0x1000000]
+        masks += [rng.getrandbits(width) for width in (8, 16, 24, 30)
+                  for _ in range(200)]
+        for m in masks:
+            assert gr.bits(m) == tuple(v for v in range(m.bit_length())
+                                       if m >> v & 1), m
+
     def test_components_cliques_and_induced_masks_match_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(41)

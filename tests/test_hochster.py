@@ -298,8 +298,8 @@ def test_domination_is_inherited():
 def test_without_matches_vertex_loop():
     """The byte-table lookup of _without against clearing the generators
     through each vertex one at a time, on up to 20 vertices so that masks
-    above 16 bits take the loop.  The sweep only removes vertices that some
-    generator covers."""
+    above 16 bits take the third table.  The sweep only removes vertices
+    that some generator covers."""
     rng = random.Random(61)
     for _ in range(40):
         nverts = rng.randint(2, 20)
@@ -319,18 +319,19 @@ def test_without_matches_vertex_loop():
 
 def test_without_tables_sized_to_the_ideal():
     """_without against the per-vertex loop on ideals whose last vertex is
-    each of 0..15, so the second byte table has 1 (a stand-in) to 256
-    entries, on every vertex set of the span up to 8 vertices and on
-    random ones above."""
+    each of 0..27, so the second and third byte tables have 1 (a stand-in)
+    to 256 entries and sets past vertex 23 take the loop, on every vertex
+    set of the span up to 8 vertices and on random ones above."""
     rng = random.Random(67)
-    for nverts in range(1, 17):
+    for nverts in range(1, 29):
         for _ in range(3):
             gens = sorted({mask(*rng.sample(range(nverts),
                                             rng.randint(1, min(3, nverts))))
                            for _ in range(rng.randint(1, 10))}
                           | {mask(nverts - 1)})
             sweep = _RestrictedSweep(gens)
-            assert len(sweep._byte_through[1]) == 1 << max(nverts - 8, 0)
+            assert len(sweep._byte_through[1]) == 1 << min(max(nverts - 8, 0), 8)
+            assert len(sweep._byte_through[2]) == 1 << min(max(nverts - 16, 0), 8)
             span = sweep._union((1 << len(gens)) - 1)
             sets = (range(1 << nverts) if nverts <= 8
                     else [rng.getrandbits(nverts) for _ in range(300)])
@@ -576,8 +577,9 @@ class TestSweepPins:
     VALUES_SHA256 = \
         "c0bc9c6a5c55a4a4afd5125af014ab2b58940f907f8f52365226cfe224d09f94"
     # _solve and _branch calls over in(J_G) of every connected class with
-    # n <= 6
+    # n <= 6, in the given labelling and in the oracle's relabelling
     SOLVE_CALLS, BRANCH_CALLS = 9041, 4160
+    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 8562, 4020
 
     @staticmethod
     def seeded_connected_8():
@@ -602,7 +604,8 @@ class TestSweepPins:
             digest.update(repr((g.n, g.edges(), rg.oracle_reg(g))).encode())
         assert digest.hexdigest() == self.VALUES_SHA256
 
-    def test_recursion_size_is_pinned(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, ideals):
         calls = Counter()
         for name in ("_solve", "_branch"):
             original = getattr(_RestrictedSweep, name)
@@ -612,8 +615,19 @@ class TestSweepPins:
                 return _original(self, *args)
 
             monkeypatch.setattr(_RestrictedSweep, name, counted)
-        for n in range(1, 7):
-            for g in gr.enumerate_graphs(n, connected_only=True):
-                hochster_regularity(ideal_of(g))
-        assert (calls["_solve"], calls["_branch"]) == (
+        for ideal in ideals:
+            hochster_regularity(ideal)
+        return calls["_solve"], calls["_branch"]
+
+    def test_recursion_size_is_pinned(self, monkeypatch):
+        ideals = [ideal_of(g) for n in range(1, 7)
+                  for g in gr.enumerate_graphs(n, connected_only=True)]
+        assert self.count_calls(monkeypatch, ideals) == (
             self.SOLVE_CALLS, self.BRANCH_CALLS)
+
+    def test_oracle_recursion_size_is_pinned(self, monkeypatch):
+        ideals = [ideal for n in range(1, 7)
+                  for g in gr.enumerate_graphs(n, connected_only=True)
+                  for ideal in rg.initial_ideals_of(g)]
+        assert self.count_calls(monkeypatch, ideals) == (
+            self.ORACLE_SOLVE_CALLS, self.ORACLE_BRANCH_CALLS)
