@@ -4,7 +4,7 @@ with certificates, witness generators, and an exact Groebner/homology
 oracle."""
 
 from .graphs import Graph
-from .intervals import CLFamily, IntervalUnion, SIGFamily
+from .intervals import CLFamily, IntervalUnion
 from .recognition import (CLCertificate, NotCLReason, NotWLReason,
                           WLDecomposition, recognize_cl, recognize_sig,
                           recognize_wl, validate_cl_certificate,
@@ -14,7 +14,7 @@ from .witnesses import gen_lrc, gen_lrw, search_l2
 
 __all__ = [
     "Graph",
-    "IntervalUnion", "CLFamily", "SIGFamily",
+    "IntervalUnion", "CLFamily",
     "CLCertificate", "NotCLReason", "WLDecomposition", "NotWLReason",
     "recognize_cl", "recognize_sig", "recognize_wl",
     "validate_cl_certificate", "validate_wl_decomposition",

@@ -179,7 +179,8 @@ def build_parser():
     p.add_argument("--budget", type=int, default=rg.DEFAULT_BUDGET,
                    help="refinement recursion depth")
     p.add_argument("--oracle-max-n", type=int, default=None,
-                   help=f"oracle size gate (default 8, or ${rg.ORACLE_MAX_N_ENV})")
+                   help=f"oracle size gate (default {rg.ORACLE_MAX_N_DEFAULT}, "
+                        f"or ${rg.ORACLE_MAX_N_ENV})")
     p.set_defaults(func=cmd_reg)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustive theorem sweep")

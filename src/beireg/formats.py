@@ -1,11 +1,13 @@
-"""Parsing and JSON schemas for graphs, families, certificates and reports.
+"""Graph parsing and the JSON forms of graphs, families, certificates and
+reports.
 
 Graph text format: first line "n <count>", then one "u v" pair per line
 (0-based, whitespace separated).  Graph JSON:
 {"n": int, "edges": [[u, v], ...], "labels": [n strings]?}.  Both parsers
-reject self-loops and duplicate edges.  Family JSON carries interval
-endpoints in half-units as integers; the path unions are implied by ell and
-never serialized.
+reject self-loops and duplicate edges.  Graphs are read and written;
+families, certificates and reports are only written, never read back.
+Family JSON carries interval endpoints in half-units as integers; the path
+unions are implied by ell and never serialized.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ def parse_graph_text(text):
         seen.add(e)
         edges.append(e)
     return gr.Graph.from_edges(n, edges)
-
-
-def graph_to_text(g):
-    lines = [f"n {g.n}"] + [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def _is_int(x):
@@ -140,12 +137,6 @@ def family_to_jsonable(f: iv.CLFamily):
     return {"ell": f.ell, "I": [[list(seg) for seg in u.segments] for u in f.I]}
 
 
-def family_from_jsonable(data) -> iv.CLFamily:
-    unions = tuple(iv.IntervalUnion.of(*[tuple(seg) for seg in entry])
-                   for entry in data["I"])
-    return iv.CLFamily(ell=int(data["ell"]), I=unions)
-
-
 def cl_certificate_to_jsonable(cert: rec.CLCertificate):
     return {"components": [
         {"family": family_to_jsonable(part.family),
@@ -153,28 +144,11 @@ def cl_certificate_to_jsonable(cert: rec.CLCertificate):
         for part in cert.components]}
 
 
-def cl_certificate_from_jsonable(data) -> rec.CLCertificate:
-    parts = tuple(
-        rec.CLComponentCertificate(
-            family=family_from_jsonable(entry["family"]),
-            bijection={k: int(v) for k, v in entry["bijection"].items()})
-        for entry in data["components"])
-    return rec.CLCertificate(components=parts)
-
-
 def wl_to_jsonable(d: rec.WLDecomposition):
     return {"path": list(d.path),
             "clique": sorted(d.clique),
             "t": d.t,
             "hEdges": sorted([min(u, v), max(u, v)] for u, v in d.h_edges)}
-
-
-def wl_from_jsonable(data) -> rec.WLDecomposition:
-    return rec.WLDecomposition(
-        path=tuple(data["path"]),
-        clique=frozenset(data["clique"]),
-        t=int(data["t"]),
-        h_edges=frozenset((min(u, v), max(u, v)) for u, v in data["hEdges"]))
 
 
 # ---------------------------------------------------------------------------

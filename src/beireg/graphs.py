@@ -542,8 +542,7 @@ def enumerate_graphs(n, connected_only=False):
     vertex joined to the image of N(u), is isomorphic to G' and is met
     earlier.  So the first candidate of every class is kept, and the
     representatives and their order are those of the unfiltered loop (the
-    tests keep it as the reference).  This cuts the candidates coded at
-    n = 7 from 9984 to 2690."""
+    tests keep it as the reference)."""
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"enumerate_graphs is limited to n <= {ENUMERATION_MAX_N}")
     if n < 0:

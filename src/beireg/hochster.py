@@ -95,9 +95,7 @@ from __future__ import annotations
 from math import gcd
 
 from .graphs import bits
-from .groebner import MonomialIdeal
-
-HOCHSTER_MAX_VERTICES = 16
+from .groebner import GROEBNER_MAX_VARIABLES, MonomialIdeal
 
 
 def _rank(columns):
@@ -524,13 +522,14 @@ class _RestrictedSweep:
         return self._solve(self._union(everything), everything, -1)
 
 
-def hochster_regularity(ideal: MonomialIdeal, max_vertices: int = HOCHSTER_MAX_VERTICES) -> int:
+def hochster_regularity(ideal: MonomialIdeal) -> int:
     """Castelnuovo-Mumford regularity of the quotient by a squarefree
-    monomial ideal, over the rationals; 0 for the zero ideal."""
-    if ideal.nvars > max_vertices:
+    monomial ideal, over the rationals; 0 for the zero ideal.  Gated at the
+    Groebner basis's variable limit, the largest ideal the oracle builds."""
+    if ideal.nvars > GROEBNER_MAX_VARIABLES:
         raise ValueError(
-            f"hochster_regularity is limited to {max_vertices} vertices "
-            f"(got {ideal.nvars})")
+            f"hochster_regularity is limited to {GROEBNER_MAX_VARIABLES} "
+            f"vertices (got {ideal.nvars})")
     for g in ideal.gens:
         if g == 0:
             raise ValueError("the unit ideal has no Stanley-Reisner complex")

@@ -95,7 +95,8 @@ class CLFamily:
     """The family {J_0..J_ell, I_1..I_r}.
 
     The J unions are implied by ell and normally derived; an explicit J
-    tuple may be supplied to exercise the condition-i validator.
+    tuple may be supplied to exercise the condition-i validator.  A
+    strongly interval family is one whose I unions are single segments.
     """
 
     ell: int
@@ -110,23 +111,6 @@ class CLFamily:
         if self.J is not None:
             return self.J
         return tuple(_path_union(j) for j in range(self.ell + 1))
-
-    @property
-    def r(self):
-        return len(self.I)
-
-
-@dataclass(frozen=True)
-class SIGFamily:
-    """Single-interval special case: each I_i is one segment [a, b] with a
-    an integer and a < b < ell (real units)."""
-
-    ell: int
-    I: tuple[IntervalUnion, ...]
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("ell must be at least 1")
 
     @property
     def r(self):
@@ -207,8 +191,9 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
     return None
 
 
-def validate_sig_family(f: SIGFamily) -> Violation | None:
-    """Each I_i must be a single segment [a, b] with integer a and a < b < ell."""
+def validate_sig_family(f: CLFamily) -> Violation | None:
+    """The strongly interval case: each I_i must be a single segment [a, b]
+    with integer a and a < b < ell (real units)."""
     for i, u in enumerate(f.I, start=1):
         if len(u.segments) != 1:
             return Violation("ii", (f"I{i}",), "must be a single interval")

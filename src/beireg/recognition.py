@@ -160,7 +160,7 @@ def validate_cl_certificate(g, cert) -> str | None:
 @dataclass(frozen=True)
 class SIGRecognition:
     is_sig: bool
-    families: tuple[iv.SIGFamily, ...] | None
+    families: tuple[iv.CLFamily, ...] | None
 
 
 def recognize_sig(g):
@@ -180,13 +180,11 @@ def _sig_from_cl(cl):
     is cl, for a caller that already holds cl."""
     if isinstance(cl, NotCLReason):
         return SIGRecognition(False, None)
-    families = []
-    for part in cl.components:
-        if any(len(u.segments) != 1 for u in part.family.I):
-            return SIGRecognition(True, None)
-        families.append(iv.SIGFamily(ell=part.family.ell, I=part.family.I))
+    families = tuple(part.family for part in cl.components)
+    if any(len(u.segments) != 1 for f in families for u in f.I):
+        return SIGRecognition(True, None)
     # cl passed validate_cl_family; on single segments that is validate_sig_family
-    return SIGRecognition(True, tuple(families))
+    return SIGRecognition(True, families)
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +245,33 @@ def validate_wl_decomposition(g, d) -> str | None:
     if g.n == 0 or not gr.is_connected(g):
         return "graph is not connected"
     n = g.n
-    # path: induced, of maximum length
-    for a, b in zip(d.path, d.path[1:]):
-        if not g.has_edge(a, b):
-            return f"path edge {a}-{b} missing from the graph"
+    # path: chordless, of maximum length; its edges are checked with the
+    # edge cover below
     for i, a in enumerate(d.path):
         for b in d.path[i + 2:]:
             if g.has_edge(a, b):
                 return f"path has chord {a}-{b}"
-    if len(set(d.path)) != len(d.path):
+    on_path = set(d.path)
+    if len(on_path) != len(d.path):
         return "path repeats a vertex"
     if len(d.path) - 1 != gr.longest_induced_path(g)[0]:
         return "path is not of maximum induced length"
     # clique: of maximum size, meeting the path in exactly {v_t, v_{t+1}}
-    for a in d.clique:
-        for b in d.clique:
-            if a < b and not g.has_edge(a, b):
-                return f"clique misses edge {a}-{b}"
     if len(d.clique) != gr.clique_number(g):
         return "clique is not of maximum size"
     if not 0 <= d.t < len(d.path) - 1:
         return "index t out of range"
-    shared = {v for v in d.path if v in d.clique}
+    shared = on_path & d.clique
     if shared != {d.path[d.t], d.path[d.t + 1]}:
         return "clique does not meet the path in exactly the two indexed vertices"
-    if set(d.path) | d.clique != set(range(n)):
+    if on_path | d.clique != set(range(n)):
         return "path and clique do not cover the vertex set"
-    # edge cover: path edges + clique edges + h edges, with h edges joining
-    # path vertices to clique-only vertices
-    u_only = d.clique - set(d.path)
+    # edge cover: path edges + clique edges + h edges are exactly the
+    # graph's edges, with h edges joining path vertices to clique-only
+    # vertices
+    u_only = d.clique - on_path
     for u, v in d.h_edges:
-        if not g.has_edge(u, v):
-            return f"h edge {u}-{v} missing from the graph"
-        if not ((u in u_only and v in set(d.path)) or (v in u_only and u in set(d.path))):
+        if not ((u in u_only and v in on_path) or (v in u_only and u in on_path)):
             return f"h edge {u}-{v} does not join a path vertex to a clique-only vertex"
     covered = _path_and_clique_edges(d.path, d.clique) | {
         (min(u, v), max(u, v)) for u, v in d.h_edges}

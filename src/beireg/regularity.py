@@ -121,17 +121,12 @@ def _initial_ideal(sub):
     J_G to J_{sigma G}, so the regularity does not change; the basis does.
     It has one element per admissible path, an induced path whose interior
     lies outside [i, j] (Herzog et al. 2010), and a bandwidth-reducing
-    order makes most induced paths monotone, so not admissible.  On the 142
-    connected classes with n <= 6 the bases fall from 2420 elements to 1498
-    and the Hochster sweep from 9041 to 8562 calls; each of the 119 closed
-    classes with n <= 7 gets just its edge binomials.
+    order makes most induced paths monotone, so not admissible.
 
     The few most recent labelled graphs are cached, under sub.
     Verification's squarefree check reads from here the ideal the oracle
-    has just built for the same component, when the oracle built one.
-    When the oracle memo answered instead, from an isomorphic component met
-    earlier, no ideal was built, and the check builds it: 38 of the 180
-    bases built in a sweep over n <= 6 are built only for the check."""
+    has just built for the same component, when the oracle built one, and
+    builds it when the oracle memo answered from an isomorphic component."""
     sub = _relabelled(sub)
     return initial_ideal(lex_groebner(sub), 2 * sub.n)
 
@@ -144,17 +139,16 @@ def _oracle_connected(sub):
            else (sub.n, tuple(sub.edges())))
     if key in _oracle_memo:
         return _oracle_memo[key]
-    value = hochster_regularity(_initial_ideal(sub),
-                                max_vertices=GROEBNER_MAX_VARIABLES)
+    value = hochster_regularity(_initial_ideal(sub))
     _oracle_memo[key] = value
     return value
 
 
 def oracle_reg(g, max_n=None):
     """Exact regularity via the Groebner/homology route, summed over
-    connected components.  Gated by max_n (default 8, overridable via the
-    BEIREG_ORACLE_MAX_N environment variable), and per component by the
-    Groebner basis's variable limit, whatever max_n says."""
+    connected components.  Gated by max_n (default ORACLE_MAX_N_DEFAULT,
+    overridable via the BEIREG_ORACLE_MAX_N environment variable), and per
+    component by the Groebner basis's variable limit, whatever max_n says."""
     gate = oracle_gate_from_env() if max_n is None else max_n
     if g.n > gate:
         raise OracleGateError(f"oracle gate exceeded: n={g.n} > {gate}")
@@ -203,40 +197,36 @@ def _drop(nb, v):
     return gr.induced_masks(nb, ((1 << len(nb)) - 1) & ~(1 << v))
 
 
-def _solve(nb, budget, memo, note):
-    """Recursive (lo, hi) computation on a graph given as its neighbour
-    masks over the vertices 0..k-1, the form every rule reads.  Gluing and
-    base cases recurse freely; the elimination-inequality and deletion
-    refinements spend one unit of budget per level.  note(rule, detail)
-    records each deduction; sub-solves get _quiet, so the trace covers the
-    top-level call only.
+def _solve(nb, budget):
+    """The (lo, hi) interval of a sub-solve, on a graph given as its
+    neighbour masks over the vertices 0..k-1, the form every rule reads.
+    Gluing and base cases recurse freely; the elimination-inequality and
+    deletion refinements spend one unit of budget per level.  Sub-solves
+    are not traced: only structural_reg's top-level call is.
 
-    memo maps (nb, budget) to the interval.  The mask tuple and the
-    labelled graph's (n, edge list) determine each other, so the key names
-    one labelled graph; it is not canonical.  The interval is a pure
-    function of the key, since every rule reads only the masks and the
-    budget, so one memo, `_structural_memo`, serves every call in the
-    process: a sub-solve met again, in the same call or in a later one on
-    another graph, is read back.  Only this function and structural_reg
-    write it.  Reusing an isomorphic graph's interval would be sound too,
-    but with the refinement's early exits sub-solves are cheaper than their
-    canonical keys: on the benchmark's structural workload (3 alternating
-    pairs, seeds 201-203, on a 2-vCPU VM) a canonical key for n <= 8 took
-    the pass's wall time from 0.021-0.023 s to 0.041-0.046 s and the tail
-    call from 0.00024-0.00031 s to 0.00044-0.00054 s, so the key stays
-    labelled.  The oracle memo keeps the canonical key, because its values
-    are costly and isomorphism-invariant."""
+    `_structural_memo` maps (nb, budget) to the interval.  The mask tuple
+    and the labelled graph's (n, edge list) determine each other, so the
+    key names one labelled graph; it is not canonical.  The interval is a
+    pure function of the key, since every rule reads only the masks and the
+    budget, so one memo serves every call in the process: a sub-solve met
+    again, in the same call or in a later one on another graph, is read
+    back.  Only this function and structural_reg write it.  Reusing an
+    isomorphic graph's interval would be sound too, but with the
+    refinement's early exits a sub-solve costs less than its canonical key.
+    The oracle memo keeps the canonical key, because its values are costly
+    and isomorphism-invariant."""
     key = (nb, budget)
-    if key not in memo:
-        memo[key] = _derive(nb, budget, memo, note)
-    return memo[key]
+    if key not in _structural_memo:
+        _structural_memo[key] = _derive(nb, budget, _quiet)
+    return _structural_memo[key]
 
 
-def _derive(nb, budget, memo, note, g=None):
-    """The rules behind _solve, applied to a graph not yet in the memo.
-    g, when given, is the Graph whose neighbour masks are nb: its maximal
-    cliques and longest induced path are read from its caches, which the
-    caller may already have filled, instead of being recomputed.
+def _derive(nb, budget, note, g=None):
+    """The rules behind _solve, applied to a graph not yet in the memo;
+    note(rule, detail) records each deduction.  g, when given, is the Graph
+    whose neighbour masks are nb: its maximal cliques and longest induced
+    path are read from its caches, which the caller may already have
+    filled, instead of being recomputed.
 
     The budgeted refinement, _refine, stops as soon as it can no longer
     move the interval, and still returns what the full sweep over every
@@ -259,7 +249,7 @@ def _derive(nb, budget, memo, note, g=None):
     if len(parts) != 1:
         lo = hi = 0
         for part in parts:
-            clo, chi = _solve(gr.induced_masks(nb, part), budget, memo, _quiet)
+            clo, chi = _solve(gr.induced_masks(nb, part), budget)
             lo += clo
             hi += chi
         note("component-additivity",
@@ -300,8 +290,8 @@ def _derive(nb, budget, memo, note, g=None):
         split = _split(nb, v)
         if split is None:
             continue
-        (l1, h1), (l2, h2) = (_solve(gr.induced_masks(nb, part), budget,
-                                     memo, _quiet) for part in split)
+        (l1, h1), (l2, h2) = (_solve(gr.induced_masks(nb, part), budget)
+                              for part in split)
         lo = max(lo, l1 + l2)
         hi = min(hi, h1 + h2)
         note("gluing", f"split at {v} gives [{l1 + l2}, {h1 + h2}]")
@@ -311,13 +301,13 @@ def _derive(nb, budget, memo, note, g=None):
         return lo, hi
 
     if budget > 0:
-        lo, hi = _refine(nb, twice, lo, hi, budget, memo, note)
+        lo, hi = _refine(nb, twice, lo, hi, budget, note)
     if lo > hi:
         raise RuntimeError(f"bound rules crossed: lo={lo} > hi={hi}")
     return lo, hi
 
 
-def _refine(nb, twice, lo, hi, budget, memo, note):
+def _refine(nb, twice, lo, hi, budget, note):
     """_derive's budgeted refinement of [lo, hi] on a connected graph whose
     vertices in two or more maximal cliques are the mask twice: the split
     inequality caps hi, deletions raise lo, and each sub-solve spends one
@@ -329,15 +319,14 @@ def _refine(nb, twice, lo, hi, budget, memo, note):
             break
         # cap = max(h1, h2, h3 + 1) lowers hi only if every term is below it
         minus[v] = _drop(nb, v)
-        h1 = _solve(minus[v], budget - 1, memo, _quiet)[1]
+        h1 = _solve(minus[v], budget - 1)[1]
         if h1 >= hi:
             continue
         closed = _closure(nb, v)
-        h2 = _solve(closed, budget - 1, memo, _quiet)[1]
+        h2 = _solve(closed, budget - 1)[1]
         if h2 >= hi:
             continue
-        cap = max(h1, h2,
-                  _solve(_drop(closed, v), budget - 1, memo, _quiet)[1] + 1)
+        cap = max(h1, h2, _solve(_drop(closed, v), budget - 1)[1] + 1)
         if cap < hi:
             hi = cap
             note("split-inequality", f"vertex {v} caps the value at {cap}")
@@ -345,7 +334,7 @@ def _refine(nb, twice, lo, hi, budget, memo, note):
         if lo == hi:
             break
         floor = _solve(minus[v] if v in minus else _drop(nb, v),
-                       budget - 1, memo, _quiet)[0]
+                       budget - 1)[0]
         if floor > lo:
             lo = floor
             note("deletion-lower-bound",
@@ -367,8 +356,7 @@ def structural_reg(g, budget=DEFAULT_BUDGET):
     log = []
     nb = g.neighbor_masks()
     lo, hi = _structural_memo[nb, budget] = _derive(
-        nb, budget, _structural_memo,
-        lambda rule, detail: log.append((rule, detail)), g)
+        nb, budget, lambda rule, detail: log.append((rule, detail)), g)
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 
 

@@ -4,13 +4,12 @@ and reference versions of library steps that only tests need.
 The oracles are deliberately naive: exhaustive enumeration and dense
 Fraction arithmetic, sharing no code with the implementations under test.
 The graph-level steps (splits, simplicial vertices, clique closures) are
-the references for the structural solver's mask steps, `relabel`,
-`embed_sig` and `random_sig_family` build the inputs of isomorphism and
-family tests, `reference_refine` is the structural solver's refinement
-without its early exits, `reference_dominated` is the Hochster sweep's
-domination scan before its covers were precomputed, and
-`unfiltered_enumeration` is graph enumeration before it skipped the
-extensions that are never kept.
+the references for the structural solver's mask steps, `relabel` and
+`random_sig_family` build the inputs of isomorphism and family tests,
+`reference_refine` is the structural solver's refinement without its early
+exits, `reference_dominated` is the Hochster sweep's domination scan
+before its covers were precomputed, and `unfiltered_enumeration` is graph
+enumeration before it skipped the extensions that are never kept.
 """
 
 from collections import namedtuple
@@ -77,11 +76,6 @@ def splits_at(g, v):
     return parts
 
 
-def embed_sig(f):
-    """A strongly-interval family is a CL family as-is."""
-    return iv.CLFamily(ell=f.ell, I=f.I)
-
-
 def random_sig_family(rng):
     """A single-interval family with 2 <= ell <= 9 and up to five
     intervals [a, b], a an integer and a < b < ell, drawn from rng."""
@@ -91,13 +85,13 @@ def random_sig_family(rng):
         a = rng.randint(0, ell - 1)
         b = rng.randint(2 * a + 1, 2 * ell - 1)
         unions.append(iv.IntervalUnion.of((2 * a, b)))
-    return iv.SIGFamily(ell, tuple(unions))
+    return iv.CLFamily(ell, tuple(unions))
 
 
 # ---------------------------------------------------------------------------
 # structural refinement without early exits
 
-def reference_refine(nb, twice, lo, hi, budget, memo, note):
+def reference_refine(nb, twice, lo, hi, budget, note):
     """regularity._refine as it was before it stopped early: all three
     split-inequality sub-graphs are solved at every vertex in two or more
     maximal cliques, and every deletion is solved, whatever the interval.
@@ -107,15 +101,15 @@ def reference_refine(nb, twice, lo, hi, budget, memo, note):
     minus = [rg._drop(nb, v) for v in range(n)]
     for v in gr.bits(twice):
         closed = rg._closure(nb, v)
-        h1 = rg._solve(minus[v], budget - 1, memo, rg._quiet)[1]
-        h2 = rg._solve(closed, budget - 1, memo, rg._quiet)[1]
-        h3 = rg._solve(rg._drop(closed, v), budget - 1, memo, rg._quiet)[1]
+        h1 = rg._solve(minus[v], budget - 1)[1]
+        h2 = rg._solve(closed, budget - 1)[1]
+        h3 = rg._solve(rg._drop(closed, v), budget - 1)[1]
         cap = max(h1, h2, h3 + 1)
         if cap < hi:
             hi = cap
             note("split-inequality", f"vertex {v} caps the value at {cap}")
     for v in range(n):
-        floor = rg._solve(minus[v], budget - 1, memo, rg._quiet)[0]
+        floor = rg._solve(minus[v], budget - 1)[0]
         if floor > lo:
             lo = floor
             note("deletion-lower-bound",

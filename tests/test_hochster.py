@@ -102,10 +102,11 @@ class TestHochsterRegularity:
             hochster_regularity(MonomialIdeal(3, (-3,)))
 
     def test_size_gate(self):
-        ideal = MonomialIdeal.from_supports(18, [mask(0, 1)])
+        # the oracle's gate: 2n variables for n <= 10 vertices
+        assert hochster_regularity(
+            MonomialIdeal.from_supports(20, [mask(0, 1)])) == 1
         with pytest.raises(ValueError):
-            hochster_regularity(ideal)
-        assert hochster_regularity(ideal, max_vertices=18) == 1
+            hochster_regularity(MonomialIdeal.from_supports(21, [mask(0, 1)]))
 
     def test_matches_naive_on_small_graphs(self):
         # every connected graph on up to 4 vertices, full 2^(2n) reference

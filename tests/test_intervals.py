@@ -6,7 +6,7 @@ import pytest
 from beireg import graphs as gr
 from beireg import intervals as iv
 
-from helpers import embed_sig, random_sig_family
+from helpers import random_sig_family
 
 
 # the three unions of the showcase family, in half-units
@@ -170,19 +170,19 @@ class TestValidateCLFamily:
 
 class TestValidateSIGFamily:
     def test_valid(self):
-        fam = iv.SIGFamily(3, (iv.IntervalUnion.of((0, 3)),))
+        fam = iv.CLFamily(3, (iv.IntervalUnion.of((0, 3)),))
         assert iv.validate_sig_family(fam) is None
 
     def test_non_integer_left(self):
-        fam = iv.SIGFamily(3, (iv.IntervalUnion.of((1, 2)),))
+        fam = iv.CLFamily(3, (iv.IntervalUnion.of((1, 2)),))
         assert iv.validate_sig_family(fam) is not None
 
     def test_endpoint_at_ell(self):
-        fam = iv.SIGFamily(3, (iv.IntervalUnion.of((2, 6)),))
+        fam = iv.CLFamily(3, (iv.IntervalUnion.of((2, 6)),))
         assert iv.validate_sig_family(fam) is not None
 
     def test_multi_segment(self):
-        fam = iv.SIGFamily(5, (iv.IntervalUnion.of((0, 1), (8, 9)),))
+        fam = iv.CLFamily(5, (iv.IntervalUnion.of((0, 1), (8, 9)),))
         assert iv.validate_sig_family(fam) is not None
 
 
@@ -192,8 +192,7 @@ class TestHellyAndEmbedding:
         for _ in range(1000):
             fam = random_sig_family(rng)
             assert iv.validate_sig_family(fam) is None
-            embedded = embed_sig(fam)
-            violation = iv.validate_cl_family(embedded)
+            violation = iv.validate_cl_family(fam)
             assert violation is None, (fam, violation)
 
     def test_pairwise_intersecting_singles_share_a_point(self):
@@ -225,7 +224,7 @@ class TestIntersectionGraph:
         rng = random.Random(31)
         for _ in range(50):
             fam = random_sig_family(rng)
-            direct, _ = iv.intersection_graph(embed_sig(fam))
+            direct, _ = iv.intersection_graph(fam)
             members = [iv.IntervalUnion.of((0, 0))] + [
                 iv.IntervalUnion.of((2 * j - 2, 2 * j)) for j in range(1, fam.ell + 1)
             ] + list(fam.I)
@@ -237,7 +236,7 @@ class TestIntersectionGraph:
     def test_path_restriction(self):
         rng = random.Random(37)
         for _ in range(30):
-            fam = embed_sig(random_sig_family(rng))
+            fam = random_sig_family(rng)
             g, _ = iv.intersection_graph(fam)
             sub, _ = gr.induced_subgraph(g, range(fam.ell + 1))
             assert sub.edges() == gr.path_graph(fam.ell + 1).edges()

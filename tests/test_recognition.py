@@ -7,7 +7,7 @@ from beireg import intervals as iv
 from beireg import recognition as rec
 from beireg import regularity as rg
 
-from helpers import embed_sig, random_sig_family
+from helpers import random_sig_family
 
 
 class TestRecognizeCL:
@@ -119,7 +119,7 @@ class TestRecognizeSIG:
         checked = 0
         for _ in range(400):
             fam = random_sig_family(rng)
-            g, _ = iv.intersection_graph(embed_sig(fam))
+            g, _ = iv.intersection_graph(fam)
             cert = rec.recognize_cl(g)
             assert isinstance(cert, rec.CLCertificate), fam
             assert [part.family.ell for part in cert.components] == [fam.ell]
@@ -164,10 +164,12 @@ class TestRecognizeWL:
     def test_validator_judges_a_broken_clique(self, monkeypatch):
         # P4 passes the gate (ell = 3 = n - omega + 1); offered the non-edge
         # {0, 3} as its maximum clique, the recognizer builds a decomposition
-        # and the validator, not a recognizer check, rejects it
+        # and the validator, not a recognizer check, rejects it: the clique
+        # meets the path at its two ends, not at two consecutive vertices
         monkeypatch.setattr(gr, "maximal_cliques", lambda g: [(0, 3)])
         with pytest.raises(rec.CertificateError,
-                           match="failed validation: clique misses edge 0-3"):
+                           match="failed validation: clique does not meet the "
+                                 "path in exactly the two indexed vertices"):
             rec.recognize_wl(gr.path_graph(4))
 
     def test_characterization_small(self):

@@ -290,18 +290,15 @@ class TestStructuralMemo:
     """The process-wide memo against a fresh memo per call."""
 
     @staticmethod
-    def fresh(g, budget):
-        log = []
-        lo, hi = rg._solve(g.neighbor_masks(), budget, {},
-                           lambda rule, detail: log.append((rule, detail)))
-        return rg.RegularityReport(lo=lo, hi=hi, method="structural",
-                                   trace=tuple(log))
+    def fresh(monkeypatch, g, budget):
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        return rg.structural_reg(g, budget)
 
     def test_reports_match_a_fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(rg, "_structural_memo", {})
         cases = [(g, b) for n in range(1, 7) for g in gr.enumerate_graphs(n)
                  for b in range(4)]
-        expected = [self.fresh(g, b) for g, b in cases]
+        expected = [self.fresh(monkeypatch, g, b) for g, b in cases]
+        monkeypatch.setattr(rg, "_structural_memo", {})
         for _ in ("cold", "warm"):
             assert [rg.structural_reg(g, b) for g, b in cases] == expected
         assert len(rg._structural_memo) > len(cases)
