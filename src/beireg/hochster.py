@@ -17,7 +17,8 @@ Six exact rules apply, in this order:
   * one generator: W is then that generator, Delta_W is the boundary of
     the simplex on W, and R(W) = |W| - 1;
   * dominated pair: if v is dominated by u in Delta_W (every face through
-    v extends by u), then R(W) = max(R(W - v), R(W - u));
+    v extends by u), then R(W) = max(R(W - v), R(W - u)), and R(W - v)
+    alone when u is also dominated by v;
   * join: if the generators inside W fall into several classes linked by
     shared vertices, every Delta_tau is the join of its restrictions to
     the classes' vertex groups, jj adds over a join (Kuenneth formula),
@@ -30,7 +31,11 @@ with u, v in tau and tau inside W.  F is a face of Delta_W, so F + u is a
 face of Delta_W, and it lies in tau.  Hence v stays dominated by u in every
 such Delta_tau, a strong collapse (Barmak & Minian, DCG 2012) keeps its
 homotopy type without v, and tau has the answer of tau - v.  A tau that
-misses v lies in W - v, and one that misses u in W - u.
+misses v lies in W - v, and one that misses u in W - u.  When u is also
+dominated by v, the swap (u v) takes a face F through v but not u into
+F + u, and one through u but not v into F + v, so it is a simplicial
+automorphism of Delta_W.  It maps each Delta_tau onto Delta_{swap tau},
+and R(W - v) = R(W - u).
 
 With two or more generators inside W the recursion prunes by the bound
 R(W) <= |W| - 2.  Homology in degree h of Delta_tau needs h <= |tau| - 2,
@@ -38,14 +43,21 @@ and at h = |tau| - 2 the cycle is the boundary of the simplex on tau, so
 every proper subset of tau is a face and tau is a generator.  Such a tau
 is a proper subset of W, since no other generator lies inside a generator,
 so jj(tau) = |tau| - 1 <= |W| - 2, and every other tau has jj(tau) <=
-|tau| - 2.  The same fact caps a core's homology at h <= |W| - 3.
+|tau| - 2.  The same fact caps a core's homology at h <= |W| - 3.  With
+p pairwise disjoint generators inside W, R(W) <= |W| - p: every face of
+Delta_W misses a vertex of each, p distinct vertices, and jj(tau) is at
+most the size of a face of Delta_tau, a face of Delta_W.  p is counted by
+a greedy pick in generator index order, which stops once it prunes.
+Past the singles rule each generator has two vertices or more, so
+p <= |W| // 2, and the greedy is skipped where that cannot prune.
 
 _solve(W, t) returns R(W) exactly when R(W) > t, and otherwise an upper
-bound on it that is at most t; a set with |W| - 2 <= t returns that bound
-at once.  One memo holds the exact values and one the upper bounds.  The
-second set of a dominated pair, each further set of a core and the core's
-own jj(W) get the running best as their threshold, and a join factor gets
-t minus the other factors' current bounds.
+bound on it that is at most t; a set that either bound puts at or below
+t returns that bound at once.  One memo holds the exact values and one
+the upper bounds.  The second set of a dominated pair, each further set
+of a core and the core's own jj(W) get the running best as their
+threshold, and a join factor gets t minus the other factors' current
+bounds.
 
 A core's homology is taken of Delta_W itself.  Its faces are built size
 by size: a face F + v grows by each vertex w > v for which F + w is a
@@ -326,10 +338,10 @@ class _RestrictedSweep:
             sigma &= ~group
         return groups
 
-    def _dominated(self, sigma, verts, internal):
-        """A pair (v, u) of vertices of sigma (whose vertices are verts)
-        with v dominated by u in the restriction to sigma, or None;
-        internal is the generator bitset of that restriction.
+    def _dominators(self, sigma, v, internal):
+        """The vertices u of sigma that dominate v in the restriction to
+        sigma, as a bitset; internal is the generator bitset of that
+        restriction.
 
         v is dominated by u when every generator g through u, with u
         swapped for v, contains a generator g2.  Such a g2 passes through v:
@@ -343,19 +355,36 @@ class _RestrictedSweep:
         for all u at once is one bitset: covers, the generators that
         contain g2 minus v for some g2 through v, an OR of the _covers
         entries.  u is dominating when no generator outside covers passes
-        through it, and the least such u is taken."""
-        union = self._union
+        through it."""
+        near = covers = 0
+        for bit, g2, containing in self._covers[v]:
+            if internal & bit:
+                near |= g2
+                covers |= containing
+        others = sigma & ~near  # the candidates u
+        if not others:
+            return 0
+        return others & ~self._union(internal & ~covers)
+
+    def _dominated(self, sigma, verts, internal):
+        """A triple (v, u, mutual) for the first vertex v of sigma (whose
+        vertices are verts) that some u dominates in the restriction to
+        sigma, or None; internal is the generator bitset of that
+        restriction.  u is the least dominator that v dominates back, and
+        mutual is then True; otherwise u is the least dominator.  The swap
+        (u v) of a mutual pair maps the generators inside sigma onto
+        themselves, so u and v lie in equally many of them, which is tested
+        before the dominators of u are."""
+        through, dominators = self.through, self._dominators
         for v in verts:
-            near = covers = 0
-            for bit, g2, containing in self._covers[v]:
-                if internal & bit:
-                    near |= g2
-                    covers |= containing
-            others = sigma & ~near  # the candidates u
-            if others:
-                dominating = others & ~union(internal & ~covers)
-                if dominating:
-                    return v, (dominating & -dominating).bit_length() - 1
+            above = bits(dominators(sigma, v, internal))
+            if above:
+                count = (through[v] & internal).bit_count()
+                for u in above:
+                    if ((through[u] & internal).bit_count() == count
+                            and dominators(sigma, u, internal) >> v & 1):
+                        return v, u, True
+                return v, above[0], False
         return None
 
     # -- homology of a core ------------------------------------------------
@@ -434,6 +463,20 @@ class _RestrictedSweep:
         each is the apex of a cone in every restriction through it."""
         return sigma & ~self._union(internal)
 
+    def _packs(self, internal, need):
+        """True when need pairwise disjoint generators of the bitset
+        internal are found by a greedy pick in index order: the least
+        generator left is picked, and every generator that meets it is
+        dropped."""
+        gens, without = self.gens, self._without
+        while internal:
+            need -= 1
+            if not need:
+                return True
+            internal = without(internal,
+                               gens[(internal & -internal).bit_length() - 1])
+        return False
+
     def _solve(self, sigma, internal, floor):
         """R(sigma), the largest jj over the subsets of sigma, when it
         exceeds floor; otherwise an upper bound on it that is at most
@@ -464,6 +507,9 @@ class _RestrictedSweep:
                 continue
             verts = bits(sigma)
             answer = len(verts) - 2  # two generators or more
+            need = len(verts) - floor  # disjoint generators that prune
+            if 2 < need <= len(verts) // 2 and self._packs(internal, need):
+                answer = floor
             if answer > floor:
                 answer = self._branch(sigma, verts, internal, floor)
             break
@@ -476,15 +522,17 @@ class _RestrictedSweep:
 
     def _branch(self, sigma, verts, internal, floor):
         """_solve on a set that the singles and cone-apex rules leave as
-        it is, with two generators or more and a bound |sigma| - 2 that
-        exceeds floor: the dominated pair, join and core rules, in that
-        order."""
+        it is, with two generators or more and bounds |sigma| - 2 and
+        |sigma| - p that exceed floor: the dominated pair, join and core
+        rules, in that order."""
         through = self.through
         solve = self._solve
         pair = self._dominated(sigma, verts, internal)
         if pair is not None:
-            v, u = pair
+            v, u, mutual = pair
             first = solve(sigma & ~(1 << v), internal & ~through[v], floor)
+            if mutual:  # the swap (u v) gives R(sigma - u) = R(sigma - v)
+                return first
             second = solve(sigma & ~(1 << u), internal & ~through[u],
                            max(floor, first))
             return max(first, second)

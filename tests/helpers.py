@@ -332,29 +332,38 @@ def naive_jj(gen_supports, sigma):
     return max((h + 1 for h, b in betti.items() if b), default=None)
 
 
-def reference_dominated(sweep, sigma, verts, internal):
-    """hochster._RestrictedSweep._dominated as it was before its covers
-    were precomputed: for each v, the generators containing g2 minus v are
-    found by intersecting through[w] over the vertices w of each g2 through
-    v, and the candidates u are tried in increasing order."""
+def reference_dominators(sweep, sigma, v, internal):
+    """The vertices u of sigma that dominate v, in increasing order, by the
+    scan of hochster._RestrictedSweep before its covers were precomputed:
+    the generators containing g2 minus v are found by intersecting
+    through[w] over the vertices w of each g2 through v, and each
+    candidate u is tried."""
     through = sweep.through
+    through_v = [sweep.gens[i] for i in gr.bits(through[v] & internal)]
+    near = 0
+    for g2 in through_v:
+        near |= g2
+    covers = 0
+    for g2 in through_v:
+        containing = internal
+        for w in gr.bits(g2 & ~(1 << v)):
+            containing &= through[w]
+        covers |= containing
+    return [u for u in gr.bits(sigma & ~near)
+            if not through[u] & internal & ~covers]
+
+
+def reference_dominated(sweep, sigma, verts, internal):
+    """hochster._RestrictedSweep._dominated by reference_dominators: for
+    the first v with a dominator, (v, u, True) for the least dominator u
+    that v dominates back, else (v, least dominator, False)."""
     for v in verts:
-        through_v = [sweep.gens[i] for i in gr.bits(through[v] & internal)]
-        near = 0
-        for g2 in through_v:
-            near |= g2
-        others = sigma & ~near
-        if not others:
-            continue
-        covers = 0
-        for g2 in through_v:
-            containing = internal
-            for w in gr.bits(g2 & ~(1 << v)):
-                containing &= through[w]
-            covers |= containing
-        for u in gr.bits(others):
-            if not through[u] & internal & ~covers:
-                return v, u
+        above = reference_dominators(sweep, sigma, v, internal)
+        if above:
+            for u in above:
+                if v in reference_dominators(sweep, sigma, u, internal):
+                    return v, u, True
+            return v, above[0], False
     return None
 
 

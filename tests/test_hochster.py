@@ -37,6 +37,27 @@ def random_ideal(rng, nverts, max_gens, sizes):
     return MonomialIdeal.from_supports(nverts, gens)
 
 
+def rule_sets(rng, sweep, nverts, count):
+    """count random vertex sets of the sweep's span as the dominated-pair
+    and bound rules see them, less singletons and cone apexes, each with
+    its generator bitset."""
+    everything = (1 << len(sweep.gens)) - 1
+    span = sweep._union(everything)
+    singles = sweep._union(sweep.singles)
+    for _ in range(count):
+        w = rng.getrandbits(nverts) & span & ~singles
+        internal = sweep._without(everything, span & ~w)
+        yield w & ~sweep._apexes(w, internal), internal
+
+
+def naive_restricted(ideal, w):
+    """R(w) by the full 2^|w| reference: the generators inside w,
+    relabelled onto 0 .. |w| - 1."""
+    index = {x: i for i, x in enumerate(bits(w))}
+    inside = [[index[x] for x in bits(g)] for g in ideal.gens if g & w == g]
+    return naive_monomial_regularity(inside, len(index))
+
+
 class TestHollowSimplex:
     """Boundary-of-simplex sanity anchors, cross-checked by dense rational
     homology before anything else relies on the oracle."""
@@ -74,6 +95,28 @@ class TestHollowSimplex:
             assert reg <= span.bit_count() - 2, supports(ideal)
             tight += reg == span.bit_count() - 2
         assert tight >= 3, tight
+
+    def test_disjoint_generators_bound(self):
+        """With p pairwise disjoint generators inside W, as _packs finds
+        them, R(W) <= |W| - p, by the full reference on random sets of
+        random ideals of up to 9 vertices; the bound is met in some draws
+        with p >= 2, and some draws have p >= 3."""
+        rng = random.Random(109)
+        tight = wide = 0
+        for _ in range(400):
+            nverts = rng.randint(4, 9)
+            ideal = random_ideal(rng, nverts, 10, (2, 2, 3))
+            sweep = _RestrictedSweep(list(ideal.gens))
+            for w, internal in rule_sets(rng, sweep, nverts, 4):
+                p = max((k for k in range(1, w.bit_count() + 1)
+                         if sweep._packs(internal, k)), default=0)
+                if p < 2:
+                    continue
+                reg = naive_restricted(ideal, w)
+                assert reg <= w.bit_count() - p, (supports(ideal), w, p)
+                tight += reg == w.bit_count() - p
+                wide += p >= 3
+        assert tight >= 30 and wide >= 3, (tight, wide)
 
 
 class TestHochsterRegularity:
@@ -122,35 +165,43 @@ class TestHochsterRegularity:
         rare; every other draw has 3-vertex generators only on 5 to 7
         vertices, where a core's subsets often beat the core itself.  A
         spy on each rule's method counts its firings, and every rule must
-        fire somewhere in the draws: singles (the only caller of _without
-        in a sweep), cone apexes, a dominated pair, a join of several
-        factors, and the homology of a core, on some core of at least 5
-        vertices."""
+        fire somewhere in the draws: singles (the one caller of _without
+        that drops vertices of singleton generators only), cone apexes, a
+        dominated pair, a join of several factors, and the homology of a
+        core, on some core of at least 5 vertices; besides, some dominated
+        pair is mutual and the disjoint-generator bound prunes some set."""
         fired = Counter()
         core_sizes = set()
 
-        def spy(name, fires):
+        def spy(name, fires, label=None):
             original = getattr(_RestrictedSweep, name)
 
             def counted(self, *args):
                 out = original(self, *args)
                 if fires(out):
-                    fired[name] += 1
+                    fired[label or name] += 1
                 return out
 
             monkeypatch.setattr(_RestrictedSweep, name, counted)
 
-        spy("_without", lambda out: True)
         spy("_apexes", bool)
         spy("_dominated", lambda out: out is not None)
+        spy("_dominated", lambda out: out is not None and out[2], "mutual")
+        spy("_packs", bool)
         spy("_gen_components", lambda out: len(out) > 1)
-        core_jj = _RestrictedSweep._core_jj
+        core_jj, without = _RestrictedSweep._core_jj, _RestrictedSweep._without
 
         def sized_core_jj(self, core, internal, floor):
             core_sizes.add(core.bit_count())
             return core_jj(self, core, internal, floor)
 
+        def singles_without(self, gen_set, verts):
+            if verts and not verts & ~self._union(self.singles):
+                fired["singles"] += 1
+            return without(self, gen_set, verts)
+
         monkeypatch.setattr(_RestrictedSweep, "_core_jj", sized_core_jj)
+        monkeypatch.setattr(_RestrictedSweep, "_without", singles_without)
         rng = random.Random(59)
         for trial in range(120):
             if trial % 2:
@@ -161,8 +212,8 @@ class TestHochsterRegularity:
                 ideal = random_ideal(rng, nverts, 10, (3,))
             expected = naive_monomial_regularity(supports(ideal), nverts)
             assert hochster_regularity(ideal) == expected, supports(ideal)
-        assert set(fired) == {"_without", "_apexes", "_dominated",
-                              "_gen_components"}, fired
+        assert set(fired) == {"singles", "_apexes", "_dominated", "mutual",
+                              "_packs", "_gen_components"}, fired
         assert max(core_sizes) >= 5, core_sizes
 
     def test_generator_leaving_sigma_by_one_vertex(self):
@@ -262,12 +313,12 @@ def test_core_jj_matches_naive():
 
 
 def test_domination_is_inherited():
-    """Whenever _dominated(W, ...) returns (v, u), v stays dominated by u
-    in the restriction to every tau with {u, v} inside tau inside W, checked
-    by listing the faces.  W is a random set of generator vertices less its
-    singletons and cone apexes, as the dominated-pair rule sees it.  The
-    face check itself is anchored first: with the one generator {0, 1} on
-    3 vertices, 0 is dominated by 2 and 2 not by 0."""
+    """Whenever _dominated(W, ...) returns (v, u, _), v stays dominated by
+    u in the restriction to every tau with {u, v} inside tau inside W,
+    checked by listing the faces.  W is a random set of generator vertices
+    less its singletons and cone apexes, as the dominated-pair rule sees
+    it.  The face check itself is anchored first: with the one generator
+    {0, 1} on 3 vertices, 0 is dominated by 2 and 2 not by 0."""
     assert brute_dominates([(0, 1)], {0, 1, 2}, 0, 2)
     assert not brute_dominates([(0, 1)], {0, 1, 2}, 2, 0)
     rng = random.Random(67)
@@ -276,17 +327,11 @@ def test_domination_is_inherited():
         nverts = rng.randint(3, 7)
         ideal = random_ideal(rng, nverts, 8, (1, 2, 3))
         sweep = _RestrictedSweep(list(ideal.gens))
-        everything = (1 << len(ideal.gens)) - 1
-        span = sweep._union(everything)
-        singles = sweep._union(sweep.singles)
-        for _ in range(8):
-            w = rng.getrandbits(nverts) & span & ~singles
-            internal = sweep._without(everything, span & ~w)
-            w &= ~sweep._apexes(w, internal)
+        for w, internal in rule_sets(rng, sweep, nverts, 8):
             pair = sweep._dominated(w, bits(w), internal)
             if pair is None:
                 continue
-            v, u = pair
+            v, u, _ = pair
             assert v != u and w >> v & 1 and w >> u & 1
             for _ in range(4):
                 tau = w & rng.getrandbits(nverts) | 1 << u | 1 << v
@@ -294,6 +339,36 @@ def test_domination_is_inherited():
                     supports(ideal), w, tau, v, u)
                 checked += 1
     assert checked >= 200, checked
+
+
+def test_mutual_pairs_are_symmetric():
+    """Whenever _dominated(W, ...) reports a mutual pair (v, u), each of
+    the two dominates the other in the restriction to W, by listing the
+    faces, and R(W - v) = R(W - u) by the full reference; otherwise v does
+    not dominate u back.  Random sets of random ideals of up to 9
+    vertices, as the dominated-pair rule sees them."""
+    rng = random.Random(113)
+    mutual = one_way = 0
+    for _ in range(400):
+        nverts = rng.randint(3, 9)
+        ideal = random_ideal(rng, nverts, 8, (2, 2, 3))
+        sweep = _RestrictedSweep(list(ideal.gens))
+        for w, internal in rule_sets(rng, sweep, nverts, 4):
+            pair = sweep._dominated(w, bits(w), internal)
+            if pair is None:
+                continue
+            v, u, both = pair
+            assert brute_dominates(supports(ideal), bits(w), v, u)
+            assert brute_dominates(supports(ideal), bits(w), u, v) == both, (
+                supports(ideal), w, pair)
+            if both:
+                mutual += 1
+                assert (naive_restricted(ideal, w & ~(1 << v))
+                        == naive_restricted(ideal, w & ~(1 << u))), (
+                    supports(ideal), w, pair)
+            else:
+                one_way += 1
+    assert mutual >= 100 and one_way >= 50, (mutual, one_way)
 
 
 def test_without_matches_vertex_loop():
@@ -482,13 +557,7 @@ def test_dominated_matches_reference_scan():
         nverts = rng.randint(3, 12)
         ideal = random_ideal(rng, nverts, 14, (1, 2, 2, 3, 3, 4))
         sweep = _RestrictedSweep(list(ideal.gens))
-        everything = (1 << len(ideal.gens)) - 1
-        span = sweep._union(everything)
-        singles = sweep._union(sweep.singles)
-        for _ in range(6):
-            w = rng.getrandbits(nverts) & span & ~singles
-            internal = sweep._without(everything, span & ~w)
-            w &= ~sweep._apexes(w, internal)
+        for w, internal in rule_sets(rng, sweep, nverts, 6):
             pair = sweep._dominated(w, bits(w), internal)
             assert pair == reference_dominated(sweep, w, bits(w), internal), (
                 ideal.gens, w)
@@ -568,10 +637,11 @@ class TestLinkScreen:
 
 
 class TestSweepPins:
-    """Values and recursion size of the sweep, recorded before its kernel
-    was screened mod 2 and read generator unions from byte tables.  A
-    change to the kernel that alters a value, or the sets the recursion
-    visits, changes a pin."""
+    """Values and recursion size of the sweep.  The values date from
+    before its kernel was screened mod 2 and read generator unions from
+    byte tables, the sizes from after the mutual-pair and disjoint-generator
+    rules.  A change to the kernel that alters a value, or the sets the
+    recursion visits, changes a pin."""
 
     # sha256 over (n, edges, oracle_reg) of every connected class with
     # 2 <= n <= 7 (995 classes) and 30 seeded connected 8-vertex graphs
@@ -579,8 +649,8 @@ class TestSweepPins:
         "c0bc9c6a5c55a4a4afd5125af014ab2b58940f907f8f52365226cfe224d09f94"
     # _solve and _branch calls over in(J_G) of every connected class with
     # n <= 6, in the given labelling and in the oracle's relabelling
-    SOLVE_CALLS, BRANCH_CALLS = 9041, 4160
-    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 8562, 4020
+    SOLVE_CALLS, BRANCH_CALLS = 7611, 3822
+    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 6033, 2955
 
     @staticmethod
     def seeded_connected_8():
