@@ -136,11 +136,24 @@ def cmd_search_l2(args):
     return EXIT_OK
 
 
+class UsageError(Exception):
+    """A malformed command line, with argparse's one-line message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError instead of printing its usage
+    block and exiting; add_subparsers hands the class on to every
+    subcommand's parser."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beireg",
         description="Certify and compute regularity bounds of binomial edge ideals")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--compact", action="store_true",
                         help="one-line JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,9 +180,6 @@ def build_parser():
     p.add_argument("r", type=int)
     p.add_argument("bound", type=int,
                    help="clique count (lrc) or n - omega + 1 (lrw)")
-    p.add_argument("--verify", action="store_true",
-                   help="kept for compatibility: every generated graph is "
-                        "checked before it is emitted")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reg", parents=[common], help="regularity report")
@@ -203,8 +213,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except SystemExit:  # after --help: errors raise UsageError instead
+        return EXIT_OK
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (fm.ParseError, OSError, rg.OracleGateError) as exc:

@@ -15,14 +15,13 @@ calls the kernels on masks directly; `components`, `induced_subgraph`,
 `maximal_cliques` and `longest_induced_path` wrap them for a `Graph`.
 
 A `Graph` computes each of its derived objects once, on first use: its
-masks, its per-component view, its longest induced path, its maximal
-cliques (as masks and as vertex tuples) and its canonical code.  So every
-caller that asks about the same Graph instance (the verification sweep,
-the recognizers and their validators, the structural solver, the oracle)
-shares one view and the same subgraph instances.  Lists are handed out as
-copies, so a caller that edits one does not change the next answer.  The
-caches are not dataclass fields, so they take no part in equality or
-hashing.
+masks, its per-component view, its longest induced path and its maximal
+cliques (as masks and as vertex tuples).  So every caller that asks about
+the same Graph instance (the verification sweep, the recognizers and their
+validators, the structural solver, the oracle) shares one view and the
+same subgraph instances.  Lists are handed out as copies, so a caller that
+edits one does not change the next answer.  The caches are not dataclass
+fields, so they take no part in equality or hashing.
 
 The invariants that add up over components (ell, the clique bounds, the
 regularity itself) are sums over `component_graphs`, the one per-component
@@ -31,8 +30,7 @@ itself, not rebuilt.
 
 `enumerate_graphs` works on neighbour-mask tuples: it computes each
 candidate's canonical code once, keeps that code as the sort key, and
-builds a Graph only for each class representative it keeps, with that code
-already in its cache.
+builds a Graph only for each class representative it keeps.
 """
 
 from __future__ import annotations
@@ -120,10 +118,6 @@ class Graph:
     @cached_property
     def _cliques(self):
         return tuple(sorted(bits(c) for c in self._clique_masks))
-
-    @cached_property
-    def _code(self):
-        return _canonical_code(self._masks)
 
     @classmethod
     def _of_masks(cls, masks, labels=None):
@@ -480,13 +474,11 @@ def canonical_form(g):
     same partition have the same least future, so they are kept once.  The
     result is the brute-force minimum over all n! orderings, but the search
     is still exponential in the worst case, so it stays gated at n <= 8.
-
-    The code is computed once per Graph and cached on it, like its path and
-    cliques; enumerate_graphs fills the cache of every representative it
-    returns with the code it computed to find the class."""
+    Each call runs the search afresh: no caller in the package asks twice
+    about one graph."""
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical_form is limited to n <= {CANONICAL_MAX_N}")
-    return g._code
+    return _canonical_code(g.neighbor_masks())
 
 
 def _canonical_code(nb):
@@ -568,19 +560,11 @@ def enumerate_graphs(n, connected_only=False):
                 nxt.setdefault(_canonical_code(nb), nb)
         # the degree sum is twice the edge count, so this is the documented order
         order = sorted(nxt, key=lambda c: (sum(map(int.bit_count, nxt[c])), c))
-        _ENUM_CACHE[k] = [_representative(nxt[c], c) for c in order]
+        _ENUM_CACHE[k] = [Graph._of_masks(nxt[c]) for c in order]
     graphs = _ENUM_CACHE[n]
     if connected_only:
         graphs = [g for g in graphs if g.n > 0 and is_connected(g)]
     return list(graphs)
-
-
-def _representative(nb, code):
-    """The Graph with neighbour masks nb, its canonical-code cache filled
-    with code."""
-    g = Graph._of_masks(nb)
-    vars(g)["_code"] = code
-    return g
 
 
 def invariants(g):

@@ -191,22 +191,6 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
     return None
 
 
-def validate_sig_family(f: CLFamily) -> Violation | None:
-    """The strongly interval case: each I_i must be a single segment [a, b]
-    with integer a and a < b < ell (real units)."""
-    for i, u in enumerate(f.I, start=1):
-        if len(u.segments) != 1:
-            return Violation("ii", (f"I{i}",), "must be a single interval")
-        a, b = u.segments[0]
-        if a % 2 != 0:
-            return Violation("ii", (f"I{i}",), f"left endpoint {a / 2} not an integer")
-        if a >= b:
-            return Violation("ii", (f"I{i}",), "requires a < b")
-        if b >= 2 * f.ell:
-            return Violation("ii", (f"I{i}",), f"right endpoint {b / 2} not below ell={f.ell}")
-    return None
-
-
 def member_names(f: CLFamily):
     """Vertex names of the intersection graph, path unions first."""
     return tuple(f"J{j}" for j in range(f.ell + 1)) + tuple(

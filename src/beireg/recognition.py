@@ -165,10 +165,16 @@ class SIGRecognition:
 
 def recognize_sig(g):
     """Strongly interval graphs: chordal with ell equal to the maximal
-    clique count.
+    clique count.  When recognized, the per-component families of
+    recognize_cl are returned as well, and each of their unions is a single
+    segment.
 
-    When recognized and every constructed union is a single interval, the
-    per-component single-interval families are returned as well.
+    Proof: let v_0..v_ell be the longest induced path of a component and u
+    an off-path vertex.  If u's path neighbours formed two runs, take
+    neighbours v_i and v_j of u, i + 1 < j, with none of v_{i+1}..v_{j-1}
+    adjacent to u.  Since the path is induced, u v_i v_{i+1} .. v_j u is
+    an induced cycle of length j - i + 2 >= 4, which a chordal graph does
+    not have.  So u's neighbours form one run, and its union one segment.
     """
     if not gr.is_chordal(g):
         return SIGRecognition(False, None)
@@ -180,11 +186,7 @@ def _sig_from_cl(cl):
     is cl, for a caller that already holds cl."""
     if isinstance(cl, NotCLReason):
         return SIGRecognition(False, None)
-    families = tuple(part.family for part in cl.components)
-    if any(len(u.segments) != 1 for f in families for u in f.I):
-        return SIGRecognition(True, None)
-    # cl passed validate_cl_family; on single segments that is validate_sig_family
-    return SIGRecognition(True, families)
+    return SIGRecognition(True, tuple(part.family for part in cl.components))
 
 
 # ---------------------------------------------------------------------------

@@ -126,17 +126,22 @@ def _initial_ideal(sub):
     The few most recent labelled graphs are cached, under sub.
     Verification's squarefree check reads from here the ideal the oracle
     has just built for the same component, when the oracle built one, and
-    builds it when the oracle memo answered from an isomorphic component."""
+    builds it again when the oracle memo answered for a component it met
+    before."""
     sub = _relabelled(sub)
     return initial_ideal(lex_groebner(sub), 2 * sub.n)
 
 
 def _oracle_connected(sub):
-    """Groebner/homology value for a connected graph, memoized by canonical
-    form.  The initial ideal is squarefree, so the regularity of its
-    quotient equals that of S/J_G (Conca & Varbaro, Invent. Math. 2020)."""
-    key = (gr.canonical_form(sub) if sub.n <= gr.CANONICAL_MAX_N
-           else (sub.n, tuple(sub.edges())))
+    """Groebner/homology value for a connected graph, memoized by its
+    neighbour masks.  The initial ideal is squarefree, so the regularity of
+    its quotient equals that of S/J_G (Conca & Varbaro, Invent. Math. 2020).
+
+    The key names the labelled graph, not its isomorphism class.  A
+    canonical key would cost an exponential search per call and hit no
+    more often on the verification sweep, which meets every repeated
+    component with the labels of its first visit."""
+    key = sub.neighbor_masks()
     if key in _oracle_memo:
         return _oracle_memo[key]
     value = hochster_regularity(_initial_ideal(sub))
@@ -213,8 +218,7 @@ def _solve(nb, budget):
     back.  Only this function and structural_reg write it.  Reusing an
     isomorphic graph's interval would be sound too, but with the
     refinement's early exits a sub-solve costs less than its canonical key.
-    The oracle memo keeps the canonical key, because its values are costly
-    and isomorphism-invariant."""
+    The oracle memo is keyed by the masks too."""
     key = (nb, budget)
     if key not in _structural_memo:
         _structural_memo[key] = _derive(nb, budget, _quiet)

@@ -12,7 +12,8 @@ Checks per class:
   wl-roundtrip        recognize_wl's decomposition passes its validator
   sig-implies-cl      strongly-interval recognition implies the clique
                       characterization; it holds by construction, since
-                      recognize_sig answers from recognize_cl's result
+                      recognize_sig returns recognize_cl's families, whose
+                      unions are single segments on a chordal graph
   structural          the structural solver's exact value or interval
                       contains the oracle value
   squarefree          each component's closed-form basis passes its

@@ -9,7 +9,7 @@ import pytest
 
 import beireg
 from beireg import graphs as gr
-
+from beireg import regularity as rg
 from beireg import verification as vf
 
 from helpers import (brute_canonical_form, brute_is_chordal,
@@ -495,8 +495,9 @@ class TestEnumeration:
 
 
 class TestCodeCache:
-    """Enumeration hands out each representative with the canonical code it
-    computed, and canonical_form reads it from there."""
+    """Enumeration keeps each representative's canonical code only as its
+    sort key, and the oracle memo keys a component by its neighbour masks,
+    so the sweep codes nothing once the classes are enumerated."""
 
     def test_representatives_carry_their_code(self):
         for n in range(8):
@@ -504,27 +505,26 @@ class TestCodeCache:
                 assert gr.canonical_form(g) == gr._canonical_code(
                     g.neighbor_masks())
 
-    def test_cached_code_leaves_equality_and_hash(self):
-        for g in gr.enumerate_graphs(5):
-            gr.canonical_form(g)
-            fresh = gr.Graph.from_edges(g.n, g.edges())
-            assert g == fresh and hash(g) == hash(fresh)
-
-    def test_gate_comes_before_the_cache(self):
-        g = gr.cycle_graph(9)
-        assert g._code == gr._canonical_code(g.neighbor_masks())
-        with pytest.raises(ValueError):
-            gr.canonical_form(g)
-
-    def test_verify_codes_only_the_components(self, monkeypatch):
-        # each connected class is its own only component and already has
-        # its code, so only the components of the others are coded
+    def test_verify_codes_nothing_and_solves_each_class_once(self,
+                                                             monkeypatch):
+        # every repeated component arrives with the labels of its first
+        # visit, so the 142 connected classes on 2..6 vertices are each
+        # solved once
         monkeypatch.setattr(gr, "_ENUM_CACHE", {})
         for n in range(7):
             gr.enumerate_graphs(n)
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        rg._initial_ideal.cache_clear()
+        solved = []
+        real = rg.hochster_regularity
+        monkeypatch.setattr(rg, "hochster_regularity",
+                            lambda ideal: solved.append(ideal) or real(ideal))
         calls = spy_codes(monkeypatch)
         assert vf.run_verification(6).all_passed
-        assert len(calls) == 78
+        assert len(calls) == 0
+        assert len(solved) == 142 == sum(
+            len(gr.enumerate_graphs(n, connected_only=True))
+            for n in range(2, 7))
 
 
 def test_import_leaves_numpy_out():

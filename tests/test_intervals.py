@@ -102,6 +102,10 @@ class TestValidateCLFamily:
         fam = iv.CLFamily(3, (iv.IntervalUnion.of((2, 2)),))
         assert iv.validate_cl_family(fam).condition == "ii"
 
+    def test_non_integer_left_endpoint(self):
+        fam = iv.CLFamily(3, (iv.IntervalUnion.of((1, 2)),))
+        assert iv.validate_cl_family(fam).condition == "ii"
+
     def test_right_endpoint_below_ell(self):
         fam = iv.CLFamily(3, (iv.IntervalUnion.of((2, 6)),))
         assert iv.validate_cl_family(fam).condition == "ii"
@@ -168,30 +172,11 @@ class TestValidateCLFamily:
                     assert iv.common_point([fam.I[i] for i in idx]) is None
 
 
-class TestValidateSIGFamily:
-    def test_valid(self):
-        fam = iv.CLFamily(3, (iv.IntervalUnion.of((0, 3)),))
-        assert iv.validate_sig_family(fam) is None
-
-    def test_non_integer_left(self):
-        fam = iv.CLFamily(3, (iv.IntervalUnion.of((1, 2)),))
-        assert iv.validate_sig_family(fam) is not None
-
-    def test_endpoint_at_ell(self):
-        fam = iv.CLFamily(3, (iv.IntervalUnion.of((2, 6)),))
-        assert iv.validate_sig_family(fam) is not None
-
-    def test_multi_segment(self):
-        fam = iv.CLFamily(5, (iv.IntervalUnion.of((0, 1), (8, 9)),))
-        assert iv.validate_sig_family(fam) is not None
-
-
 class TestHellyAndEmbedding:
     def test_thousand_random_sig_families_embed_validly(self):
         rng = random.Random(23)
         for _ in range(1000):
             fam = random_sig_family(rng)
-            assert iv.validate_sig_family(fam) is None
             violation = iv.validate_cl_family(fam)
             assert violation is None, (fam, violation)
 

@@ -97,7 +97,9 @@ class TestRecognizeSIG:
         result = rec.recognize_sig(g)
         assert result.is_sig
         assert result.families is not None
-        assert all(iv.validate_sig_family(f) is None for f in result.families)
+        for f in result.families:
+            assert all(len(u.segments) == 1 for u in f.I)
+            assert iv.validate_cl_family(f) is None
 
     def test_cl_but_not_chordal(self, cl_example):
         assert not rec.recognize_sig(cl_example).is_sig
@@ -110,6 +112,20 @@ class TestRecognizeSIG:
             for g in gr.enumerate_graphs(n):
                 if rec.recognize_sig(g).is_sig:
                     assert isinstance(rec.recognize_cl(g), rec.CLCertificate)
+
+    def test_chordal_cl_classes_have_single_segments(self):
+        # recognize_sig's docstring proves it; at n <= 7 the clique bound is
+        # met by 158 chordal classes, all single-segment, and by 10
+        # non-chordal ones, each with a union of several segments
+        counts = {True: [0, 0], False: [0, 0]}
+        for n in range(1, 8):
+            for g in gr.enumerate_graphs(n):
+                cl = rec.recognize_cl(g)
+                if isinstance(cl, rec.CLCertificate):
+                    single = all(len(u.segments) == 1 for part in cl.components
+                                 for u in part.family.I)
+                    counts[gr.is_chordal(g)][single] += 1
+        assert counts == {True: [0, 158], False: [10, 0]}
 
     def test_sig_families_realize_the_clique_bound(self):
         # the definition side of "strongly interval implies CL": the
