@@ -9,6 +9,7 @@ negative (not recognized / impossible request / failed verification).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import formats as fm
@@ -118,6 +119,12 @@ def cmd_verify(args):
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    # the pool starts all its workers at once, so cap them at the CPUs
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:
+        print(f"error: --jobs must be at most the CPU count, {cpus}",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = vf.run_verification(max_n=args.max_n,
                                  connected_only=args.connected_only,
                                  jobs=args.jobs)
@@ -224,7 +231,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError as exc:
-        # the path and clique kernels recurse once per vertex they add
+        # the structural solver recurses once per sub-solve level
         print(f"error: graph too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,14 +14,14 @@ has bit u set iff u ~ v, over the vertices 0..k-1.  The structural solver
 calls the kernels on masks directly; `components`, `induced_subgraph`,
 `maximal_cliques` and `longest_induced_path` wrap them for a `Graph`.
 
-A `Graph` computes each of its derived objects once, on first use: its
-masks, its per-component view, its longest induced path and its maximal
-cliques (as masks and as vertex tuples).  So every caller that asks about
-the same Graph instance (the verification sweep, the recognizers and their
-validators, the structural solver, the oracle) shares one view and the
-same subgraph instances.  Lists are handed out as copies, so a caller that
-edits one does not change the next answer.  The caches are not dataclass
-fields, so they take no part in equality or hashing.
+`induced_path` and `clique_masks` are memoized on the neighbour-mask
+tuple, which names one labelled graph, so a Graph and the structural
+solver's sub-solves read one answer per labelled graph.  A `Graph` builds
+its masks, its per-component view and its sorted clique tuples once, on
+first use, so the callers of one instance share the same subgraph
+instances.  Lists are handed out as copies, so a caller that edits one
+does not change the next answer.  These caches are not dataclass fields,
+so they take no part in equality or hashing.
 
 The invariants that add up over components (ell, the clique bounds, the
 regularity itself) are sums over `component_graphs`, the one per-component
@@ -36,7 +36,7 @@ builds a Graph only for each class representative it keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,8 @@ class Graph:
         return tuple(induced_subgraph(self, bits(c)) for c in comps)
 
     @cached_property
-    def _path(self):
-        return induced_path(self._masks)
-
-    @cached_property
-    def _clique_masks(self):
-        return tuple(clique_masks(self._masks))
-
-    @cached_property
     def _cliques(self):
-        return tuple(sorted(bits(c) for c in self._clique_masks))
+        return tuple(sorted(bits(c) for c in clique_masks(self._masks)))
 
     @classmethod
     def _of_masks(cls, masks, labels=None):
@@ -314,37 +306,35 @@ def component_graphs(g):
     return list(g._view)
 
 
+@cache
 def induced_path(nb):
     """Longest induced path of a connected graph given by its neighbour
     masks, by exhaustive DFS: (length, vertex sequence).
 
-    The DFS extends each sequence by its candidates in increasing order, so
-    it meets sequences in lexicographic order; keeping only strictly longer
-    ones keeps the least sequence of the greatest length.  A branch is cut
-    when it cannot beat the best length: beyond its next vertex (a
-    neighbour of the last), a path can only use vertices that are off the
-    path and adjacent to none of it."""
+    The DFS keeps its own stack, so no recursion limit bounds the path
+    length.  It pushes each sequence's candidates so that they pop in
+    increasing order, so it meets sequences in lexicographic order; keeping
+    only strictly longer ones keeps the least sequence of the greatest
+    length.  A branch is cut when it cannot beat the best length: beyond
+    its next vertex (a neighbour of the last), a path can only use vertices
+    that are off the path and adjacent to none of it."""
     full = (1 << len(nb)) - 1
     seq = [0] * len(nb)
-    best = [0, (0,)]
-
-    def extend(depth, last, visited, earlier):
+    best_len, best = 0, (0,)
+    stack = [(0, s, 1 << s, 0) for s in reversed(range(len(nb)))]
+    while stack:
+        depth, last, visited, earlier = stack.pop()
         seq[depth] = last
-        if depth > best[0]:
-            best[0], best[1] = depth, tuple(seq[:depth + 1])
+        if depth > best_len:
+            best_len, best = depth, tuple(seq[:depth + 1])
         free = full & ~(visited | earlier)
         cand = nb[last] & free
-        if cand and depth + 1 + (free & ~nb[last]).bit_count() > best[0]:
+        if cand and depth + 1 + (free & ~nb[last]).bit_count() > best_len:
             earlier |= nb[last]
             depth += 1
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                extend(depth, low.bit_length() - 1, visited | low, earlier)
-
-    for s in range(len(nb)):
-        extend(0, s, 1 << s, 0)
-    return best[0], best[1]
+            for v in reversed(bits(cand)):
+                stack.append((depth, v, visited | 1 << v, earlier))
+    return best_len, best
 
 
 def longest_induced_path(g):
@@ -358,7 +348,7 @@ def longest_induced_path(g):
         raise ValueError("graph has no vertices")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    return g._path
+    return induced_path(g._masks)
 
 
 def ell(g):
@@ -370,16 +360,21 @@ def ell(g):
 # ---------------------------------------------------------------------------
 # cliques
 
+@cache
 def clique_masks(nb):
     """All inclusion-maximal cliques of the graph given by its neighbour
-    masks, as vertex masks, by pivoting Bron-Kerbosch.  An isolated vertex
-    is a singleton clique."""
+    masks, as a tuple of vertex masks, by pivoting Bron-Kerbosch on an
+    explicit stack, so no recursion limit bounds the clique size.  An
+    isolated vertex is a singleton clique.  Branch (r, p, x) pushes child v
+    with the candidates before v moved from p to x, so that the children
+    pop in increasing order."""
     found = []
-
-    def bk(r, p, x):
+    stack = [(0, (1 << len(nb)) - 1, 0)] if nb else []
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             found.append(r)
-            return
+            continue
         both = p | x
         pivot, best = -1, -1
         while both:
@@ -390,17 +385,11 @@ def clique_masks(nb):
             if cnt > best:
                 best, pivot = cnt, u
         ext = p & ~nb[pivot]
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            bk(r | low, p & nb[v], x & nb[v])
-            p &= ~low
-            x |= low
-
-    if nb:
-        bk(0, (1 << len(nb)) - 1, 0)
-    return found
+        for v in reversed(bits(ext)):
+            before = ext & ((1 << v) - 1)
+            stack.append((r | 1 << v, p & ~before & nb[v],
+                          (x | before) & nb[v]))
+    return tuple(found)
 
 
 def maximal_cliques(g):

@@ -218,19 +218,17 @@ def _solve(nb, budget):
     back.  Only this function and structural_reg write it.  Reusing an
     isomorphic graph's interval would be sound too, but with the
     refinement's early exits a sub-solve costs less than its canonical key.
-    The oracle memo is keyed by the masks too."""
+    The oracle memo and the path and clique kernels' memos are keyed by
+    the masks too."""
     key = (nb, budget)
     if key not in _structural_memo:
         _structural_memo[key] = _derive(nb, budget, _quiet)
     return _structural_memo[key]
 
 
-def _derive(nb, budget, note, g=None):
+def _derive(nb, budget, note):
     """The rules behind _solve, applied to a graph not yet in the memo;
-    note(rule, detail) records each deduction.  g, when given, is the Graph
-    whose neighbour masks are nb: its maximal cliques and longest induced
-    path are read from its caches, which the caller may already have
-    filled, instead of being recomputed.
+    note(rule, detail) records each deduction.
 
     The budgeted refinement, _refine, stops as soon as it can no longer
     move the interval, and still returns what the full sweep over every
@@ -263,7 +261,7 @@ def _derive(nb, budget, note, g=None):
     if n == 1:
         note("path-base", "single vertex")
         return 0, 0
-    cliques = gr.clique_masks(nb) if g is None else g._clique_masks
+    cliques = gr.clique_masks(nb)
     if len(cliques) == 1:
         note("complete-base", f"K_{n}")
         return 1, 1
@@ -272,7 +270,7 @@ def _derive(nb, budget, note, g=None):
         note("path-base", f"path of length {n - 1}")
         return n - 1, n - 1
 
-    lo = (gr.induced_path(nb) if g is None else g._path)[0]
+    lo = gr.induced_path(nb)[0]
     hi = _component_upper(n, [c.bit_count() for c in cliques])
     if lo == hi:
         note("sandwich", f"bounds meet at {lo}")
@@ -353,14 +351,11 @@ def structural_reg(g, budget=DEFAULT_BUDGET):
     gap, otherwise an interval.
 
     The rules always run on g itself, with the logging note, so the trace
-    is the same however many of its sub-solves the memo already holds.
-    They read g's maximal cliques and longest induced path from g's own
-    caches, so a caller that has asked for them (verification's check_one)
-    does not pay for them twice."""
+    is the same however many of its sub-solves the memo already holds."""
     log = []
     nb = g.neighbor_masks()
     lo, hi = _structural_memo[nb, budget] = _derive(
-        nb, budget, lambda rule, detail: log.append((rule, detail)), g)
+        nb, budget, lambda rule, detail: log.append((rule, detail)))
     return RegularityReport(lo=lo, hi=hi, method="structural", trace=tuple(log))
 
 

@@ -11,7 +11,7 @@ regularity, n - omega + 1) for 3 <= ell <= r <= wbar out of a path, two
 overlapping cliques and a pendant matching; the value is certified by the
 cut-vertex gluing chain.
 
-search_l2 explores the open case ell = 2 that LrwRequest refuses: it
+search_l2 explores the open case ell = 2 that gen_lrw refuses: it
 filters the isomorphism classes of graphs.enumerate_graphs by clique
 number, induced path length and oracle regularity.
 
@@ -21,42 +21,8 @@ is returned; a failure is a bug, not an input condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import graphs as gr
 from . import regularity as rg
-
-
-@dataclass(frozen=True)
-class LrcRequest:
-    ell: int
-    r: int
-    c: int
-
-    def __post_init__(self):
-        if not 1 <= self.ell <= self.r <= self.c:
-            raise ValueError("need 1 <= ell <= r <= c")
-        if self.ell == 1 and self.r >= 2:
-            raise ValueError(
-                "no graph has induced path length 1 and regularity above 1: "
-                "such graphs are a complete graph plus isolated vertices, "
-                "whose regularity is 1")
-
-
-@dataclass(frozen=True)
-class LrwRequest:
-    ell: int
-    r: int
-    wbar: int
-
-    def __post_init__(self):
-        if self.ell == 2:
-            raise ValueError(
-                "ell = 2 is rejected: no connected graph attains "
-                "(ell, reg, n - omega + 1) = (2, 3, 3), and which pairs are "
-                "attainable at ell = 2 is an open question")
-        if not 3 <= self.ell <= self.r <= self.wbar:
-            raise ValueError("need 3 <= ell <= r <= wbar")
 
 
 def _check(condition, message):
@@ -67,9 +33,15 @@ def _check(condition, message):
 def gen_lrc(ell, r, c):
     """Connected graph with prescribed induced path length, regularity and
     maximal clique count (ell = 1 gives the disconnected family)."""
-    q = LrcRequest(ell, r, c)
+    if not 1 <= ell <= r <= c:
+        raise ValueError("need 1 <= ell <= r <= c")
+    if ell == 1 and r >= 2:
+        raise ValueError(
+            "no graph has induced path length 1 and regularity above 1: "
+            "such graphs are a complete graph plus isolated vertices, "
+            "whose regularity is 1")
 
-    if q.ell == 1:
+    if ell == 1:
         # an edge plus c-1 isolated vertices
         labels = ["k1", "k2"] + [f"w{j}" for j in range(1, c)]
         g = gr.Graph.from_edges(1 + c, [(0, 1)], labels)
@@ -79,9 +51,9 @@ def gen_lrc(ell, r, c):
         _check(report.exact and report.value == 1, "regularity")
         return g
 
-    triangles = r if q.ell == 2 else r - q.ell + 2
+    triangles = r if ell == 2 else r - ell + 2
     pendants = c - r
-    tail = 0 if q.ell == 2 else q.ell - 2
+    tail = 0 if ell == 2 else ell - 2
 
     labels = ["v"]
     edges = []
@@ -107,21 +79,27 @@ def gen_lrc(ell, r, c):
 
     g = gr.Graph.from_edges(nxt, edges, labels)
     _check(gr.is_connected(g), "connected")
-    _check(gr.ell(g) == q.ell, "ell")
-    _check(len(gr.maximal_cliques(g)) == q.c, "clique count")
+    _check(gr.ell(g) == ell, "ell")
+    _check(len(gr.maximal_cliques(g)) == c, "clique count")
     report = rg.structural_reg(g)
-    _check(report.exact and report.value == q.r, "regularity")
+    _check(report.exact and report.value == r, "regularity")
     return g
 
 
 def gen_lrw(ell, r, wbar):
     """Connected graph with prescribed induced path length, regularity and
     n - omega + 1, certified by the cut-vertex gluing chain."""
-    q = LrwRequest(ell, r, wbar)
+    if ell == 2:
+        raise ValueError(
+            "ell = 2 is rejected: no connected graph attains "
+            "(ell, reg, n - omega + 1) = (2, 3, 3), and which pairs are "
+            "attainable at ell = 2 is an open question")
+    if not 3 <= ell <= r <= wbar:
+        raise ValueError("need 3 <= ell <= r <= wbar")
 
-    path_len = q.ell + 1
-    u_size = v_size = q.wbar - q.r
-    q_size = q.r - q.ell
+    path_len = ell + 1
+    u_size = v_size = wbar - r
+    q_size = r - ell
 
     labels = [str(i) for i in range(1, path_len + 1)]
     edges = [(i, i + 1) for i in range(path_len - 1)]
@@ -154,10 +132,10 @@ def gen_lrw(ell, r, wbar):
 
     g = gr.Graph.from_edges(nxt, edges, labels)
     _check(gr.is_connected(g), "connected")
-    _check(gr.ell(g) == q.ell, "ell")
-    _check(g.n - gr.clique_number(g) + 1 == q.wbar, "n - omega + 1")
+    _check(gr.ell(g) == ell, "ell")
+    _check(g.n - gr.clique_number(g) + 1 == wbar, "n - omega + 1")
     report = rg.structural_reg(g)
-    _check(report.exact and report.value == q.r, "regularity")
+    _check(report.exact and report.value == r, "regularity")
     return g
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -275,6 +276,20 @@ class TestVerify:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--jobs" in err
 
+    def test_jobs_above_the_cpu_count_is_usage_error(self, capsys,
+                                                     monkeypatch):
+        # the pool forks all its workers up front, so none may start
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(vf, "ProcessPoolExecutor", no_pool)
+        jobs = (os.cpu_count() or 1) + 1
+        code, out, err = run(capsys, "verify", "--max-n", "2",
+                             "--jobs", str(jobs))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--jobs" in err
+
     def test_fault_injection_detected(self):
         # harness self-test: a corrupted ground truth must surface as
         # counterexamples, not silent passes
@@ -392,20 +407,36 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert rg.ORACLE_MAX_N_ENV in err
 
-    # the path DFS and the clique search recurse once per vertex they add:
     # a 1100-vertex path, and the lrc witness whose apex closes a clique of
-    # about 1100 vertices
-    @pytest.mark.parametrize("argv", [("invariants", "P1100"),
-                                      ("gen", "lrc", "2", "2", "1100")])
-    def test_graph_too_large_for_the_kernels_is_usage_error(
-            self, capsys, tmp_path, argv):
+    # about 1100 vertices: the path DFS and the clique search would go one
+    # level deeper per vertex they add, past Python's recursion limit, if
+    # they did not keep their own stacks
+    @pytest.mark.parametrize("argv, key, value", [
+        (("invariants", "P1100"), "ell", 1099),
+        (("gen", "lrc", "2", "2", "1100"), "n", 1103)])
+    def test_graph_past_the_recursion_limit_is_answered(
+            self, capsys, tmp_path, argv, key, value):
         p1100 = tmp_path / "p1100.edges"
         p1100.write_text("n 1100\n" + "".join(f"{i} {i + 1}\n"
                                               for i in range(1099)))
         code, out, err = run(capsys, *[str(p1100) if a == "P1100" else a
                                        for a in argv])
+        assert code == 0 and err == ""
+        assert json.loads(out)[key] == value
+
+    def test_recursion_error_is_usage_error(self, capsys, monkeypatch,
+                                            tmp_path):
+        # the structural solver's sub-solves still recurse
+        def too_deep(nb, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(rg, "_solve", too_deep)
+        c4 = tmp_path / "c4.edges"
+        c4.write_text("n 4\n0 1\n1 2\n2 3\n0 3\n")
+        code, out, err = run(capsys, "reg", str(c4), "--method", "structural")
         assert code == 1 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == ("error: graph too large: "
+                       "maximum recursion depth exceeded\n")
 
 
 class TestOutputPin:

@@ -527,6 +527,31 @@ class TestCodeCache:
             for n in range(2, 7))
 
 
+class TestKernelMemo:
+    """The path and clique kernels run once per distinct neighbour-mask
+    tuple, and keep their own stacks."""
+
+    def test_verify_runs_each_kernel_once_per_mask_tuple(self, monkeypatch):
+        # fresh representatives, so no Graph holds its cliques yet; the
+        # sweep asks 495 paths of 236 tuples and 551 clique lists of 243
+        monkeypatch.setattr(gr, "_ENUM_CACHE", {})
+        gr.enumerate_graphs(6)
+        monkeypatch.setattr(rg, "_structural_memo", {})
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        rg._initial_ideal.cache_clear()
+        gr.induced_path.cache_clear()
+        gr.clique_masks.cache_clear()
+        assert vf.run_verification(6).all_passed
+        assert gr.induced_path.cache_info().misses == 236
+        assert gr.clique_masks.cache_info().misses == 243
+
+    def test_kernels_past_the_recursion_limit(self):
+        # one DFS level per path vertex, one Bron-Kerbosch level per
+        # clique vertex: 1100 of each is past Python's recursion limit
+        assert gr.invariants(gr.path_graph(1100)).ell == 1099
+        assert rg.reg(gr.complete_graph(1100)).value == 1
+
+
 def test_import_leaves_numpy_out():
     src = str(Path(beireg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

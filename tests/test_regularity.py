@@ -263,27 +263,33 @@ class TestStructural:
         g = gr.Graph.from_edges(6, HARD6)
         assert rg.structural_reg(g) == rg.structural_reg(g)
 
-    def test_top_level_reads_the_graph_caches(self, monkeypatch, cl_borderline):
-        # the sub-solves still run the kernels, on smaller or closed graphs
-        graphs = [gr.Graph.from_edges(6, HARD6), cl_borderline] + [
-            gr.Graph.from_edges(n, g.edges()) for n in (5, 6)
-            for g in gr.enumerate_graphs(n, connected_only=True)]
+    def test_top_level_reads_the_kernel_memos(self, cl_borderline):
+        # with the sub-solves in the structural memo, only the top-level
+        # rules run again, and they read the answers that
+        # longest_induced_path and maximal_cliques left in the kernel
+        # memos; fresh copies, so that no Graph holds its cliques yet
+        graphs = [gr.Graph.from_edges(g.n, g.edges()) for g in [
+            gr.Graph.from_edges(6, HARD6), cl_borderline,
+            *gr.enumerate_graphs(5, connected_only=True),
+            *gr.enumerate_graphs(6, connected_only=True)]]
+        for g in graphs:
+            rg.structural_reg(g)
+        gr.induced_path.cache_clear()
+        gr.clique_masks.cache_clear()
+        path_hits = 0
         for g in graphs:
             gr.longest_induced_path(g)
             gr.maximal_cliques(g)
-        calls = []
-        for name in ("induced_path", "clique_masks"):
-            real = getattr(gr, name)
-            monkeypatch.setattr(gr, name, lambda nb, real=real: calls.append(
-                nb) or real(nb))
-        monkeypatch.setattr(rg, "_structural_memo", {})
-        seen = 0
-        for g in graphs:
-            calls.clear()
+            path, cliques = (gr.induced_path.cache_info(),
+                             gr.clique_masks.cache_info())
             rg.structural_reg(g)
-            assert g.neighbor_masks() not in calls
-            seen += len(calls)
-        assert seen
+            path_now, cliques_now = (gr.induced_path.cache_info(),
+                                     gr.clique_masks.cache_info())
+            assert path_now.misses == path.misses
+            assert cliques_now.misses == cliques.misses
+            assert cliques_now.hits == cliques.hits + 1
+            path_hits += path_now.hits - path.hits
+        assert path_hits
 
 
 class TestStructuralMemo:
