@@ -13,6 +13,7 @@ unions are implied by ell and never serialized.
 from __future__ import annotations
 
 import json
+import re
 
 from . import graphs as gr
 from . import intervals as iv
@@ -27,6 +28,21 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # graphs
 
+_COUNT = re.compile(r"[0-9]+")
+_ENDPOINT = re.compile(r"-?[0-9]+")  # a negative one is out of range
+
+
+def _integer(token, pattern):
+    """The int that token spells when pattern matches all of it, else None,
+    also past the digit limit of int()."""
+    if pattern.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_graph_text(text):
     lines = text.splitlines()
     header = None
@@ -39,9 +55,9 @@ def parse_graph_text(text):
     if header is None:
         raise ParseError("line 1: missing 'n <count>' header")
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
+    n = _integer(parts[1], _COUNT) if len(parts) == 2 and parts[0] == "n" else None
+    if n is None:
         raise ParseError(f"line {line_no}: expected 'n <count>', got {header!r}")
-    n = int(parts[1])
     edges = []
     seen = set()
     for extra, raw in enumerate(lines[line_no:], start=line_no + 1):
@@ -51,9 +67,8 @@ def parse_graph_text(text):
         pieces = line.split()
         if len(pieces) != 2:
             raise ParseError(f"line {extra}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(pieces[0]), int(pieces[1])
-        except ValueError:
+        u, v = (_integer(piece, _ENDPOINT) for piece in pieces)
+        if u is None or v is None:
             raise ParseError(f"line {extra}: non-integer endpoint in {line!r}")
         if u == v:
             raise ParseError(f"line {extra}: self-loop edge {u} {v}")
@@ -75,7 +90,7 @@ def _is_int(x):
 def parse_graph_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past int()'s limit
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("graph JSON needs an object with 'n' and 'edges'")

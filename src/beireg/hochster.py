@@ -59,6 +59,22 @@ of a core and the core's own jj(W) get the running best as their
 threshold, and a join factor gets t minus the other factors' current
 bounds.
 
+A vertex set A, the anchor, rides along with t: every subset of W that
+misses a vertex of A has jj at most t.  So every tau with jj(tau) > t
+contains A, and the memos stay keyed by W.  Three exact rules use it.
+The set W - u of a dominated pair gets A + v, since a subset of W - u
+that misses v lies in W - v, which the first branch has bounded by the
+threshold of W - u; likewise each set W - x of a core gets A and the x
+looped over before it, and the loop skips the x in A.  Thresholds never
+fall along these steps, but they do into a join factor, which starts
+with no anchor.  A set that has lost a vertex of A returns t.  And W
+returns t when some a in A has p >= |W| - t pairwise disjoint sets
+g - a, for g the generators inside W: a tau with jj(tau) > t contains a,
+and Delta_{tau - a} has no homology in degrees h >= t, so the exact
+sequence of the link screen below gives the link of a in Delta_tau a
+face F with |F| >= t; F + a holds no generator, so F misses a vertex of
+each g - a, and |F| <= |W| - 1 - p < t.
+
 A core's homology is taken of Delta_W itself.  Its faces are built size
 by size: a face F + v grows by each vertex w > v for which F + w is a
 face, and only the generators through both v and w are tested.  The
@@ -463,26 +479,36 @@ class _RestrictedSweep:
         each is the apex of a cone in every restriction through it."""
         return sigma & ~self._union(internal)
 
-    def _packs(self, internal, need):
-        """True when need pairwise disjoint generators of the bitset
-        internal are found by a greedy pick in index order: the least
-        generator left is picked, and every generator that meets it is
-        dropped."""
+    def _packs(self, internal, need, apex=0):
+        """True when need pairwise disjoint sets g - apex, for g among the
+        generators of the bitset internal, are found by a greedy pick in
+        index order: the least generator left is picked, and every
+        generator that meets it outside apex is dropped."""
         gens, without = self.gens, self._without
         while internal:
             need -= 1
             if not need:
                 return True
-            internal = without(internal,
-                               gens[(internal & -internal).bit_length() - 1])
+            internal = without(
+                internal, gens[(internal & -internal).bit_length() - 1] & ~apex)
         return False
 
-    def _solve(self, sigma, internal, floor):
+    def _link_packs(self, internal, anchor, need):
+        """True when _packs finds need pairwise disjoint sets g - a for
+        some vertex a of anchor: the anchored link bound."""
+        for a in bits(anchor):
+            if self._packs(internal, need, 1 << a):
+                return True
+        return False
+
+    def _solve(self, sigma, internal, floor, anchor=0):
         """R(sigma), the largest jj over the subsets of sigma, when it
         exceeds floor; otherwise an upper bound on it that is at most
         floor.  internal is the generator bitset of the restriction to
-        sigma.  Every set the singles and cone-apex rules pass through has
-        the same R, so the answer is kept under each of them."""
+        sigma, and every subset of sigma that misses a vertex of anchor
+        has jj at most floor.  Every set the singles and cone-apex rules
+        pass through has the same R, so the answer is kept under each of
+        them."""
         exact, upper = self._exact, self._upper
         path = []
         while sigma not in exact:
@@ -490,6 +516,9 @@ class _RestrictedSweep:
             if answer <= floor:
                 break
             path.append(sigma)
+            if anchor & ~sigma:  # every subset misses an anchor vertex
+                answer = floor
+                break
             # singles: a vertex that is itself a generator lies in no face
             singles = internal & self.singles
             if singles:
@@ -510,8 +539,11 @@ class _RestrictedSweep:
             need = len(verts) - floor  # disjoint generators that prune
             if 2 < need <= len(verts) // 2 and self._packs(internal, need):
                 answer = floor
+            elif (anchor and 2 < need < len(verts)
+                  and self._link_packs(internal, anchor, need)):
+                answer = floor
             if answer > floor:
-                answer = self._branch(sigma, verts, internal, floor)
+                answer = self._branch(sigma, verts, internal, floor, anchor)
             break
         else:
             answer = exact[sigma]
@@ -520,7 +552,7 @@ class _RestrictedSweep:
             memo[s] = answer
         return answer
 
-    def _branch(self, sigma, verts, internal, floor):
+    def _branch(self, sigma, verts, internal, floor, anchor):
         """_solve on a set that the singles and cone-apex rules leave as
         it is, with two generators or more and bounds |sigma| - 2 and
         |sigma| - p that exceed floor: the dominated pair, join and core
@@ -530,11 +562,12 @@ class _RestrictedSweep:
         pair = self._dominated(sigma, verts, internal)
         if pair is not None:
             v, u, mutual = pair
-            first = solve(sigma & ~(1 << v), internal & ~through[v], floor)
+            first = solve(sigma & ~(1 << v), internal & ~through[v], floor,
+                          anchor)
             if mutual:  # the swap (u v) gives R(sigma - u) = R(sigma - v)
                 return first
             second = solve(sigma & ~(1 << u), internal & ~through[u],
-                           max(floor, first))
+                           max(floor, first), anchor | 1 << v)
             return max(first, second)
         factors = self._gen_components(sigma, internal)
         if len(factors) > 1:
@@ -553,17 +586,22 @@ class _RestrictedSweep:
             return total
         best = 0
         for v in verts:
-            best = max(best, solve(sigma & ~(1 << v), internal & ~through[v],
-                                   max(floor, best)))
-        # every R(sigma - v) is now at most max(floor, best).  The faces
-        # through one vertex are a fraction of the core's, so the link
-        # screen pays on cores of every size, and a core's faces are built
-        # only where it fails.
+            bit = 1 << v
+            if anchor & bit:
+                continue
+            best = max(best, solve(sigma & ~bit, internal & ~through[v],
+                                   max(floor, best), anchor))
+            anchor |= bit
+        # every R(sigma - v) is now at most max(floor, best), a skipped
+        # anchor's too, so that, not best, bounds R(sigma) when jj(sigma)
+        # does not beat it.  The faces through one vertex are a fraction of
+        # the core's, so the link screen pays on cores of every size, and a
+        # core's faces are built only where it fails.
         floor = max(floor, best)
         if self._link_acyclic(sigma, internal, floor):
-            return best
+            return floor
         top = self._core_jj(sigma, internal, floor)
-        return best if top is None else top
+        return floor if top is None else top
 
     def regularity(self):
         everything = (1 << len(self.gens)) - 1

@@ -163,9 +163,9 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
 
     # iii) Helly: every pairwise-intersecting subset has a common point
     r = f.r
+    edges = [(p, q) for p in range(r) for q in range(p + 1, r)
+             if intersects(f.I[p], f.I[q])]
     if r >= 2:
-        edges = [(p, q) for p in range(r) for q in range(p + 1, r)
-                 if intersects(f.I[p], f.I[q])]
         meet_graph = Graph.from_edges(r, edges)
         for clique in maximal_cliques(meet_graph):
             if len(clique) < 2:
@@ -174,20 +174,31 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
                 return Violation("iii", tuple(f"I{p + 1}" for p in clique),
                                  "pairwise intersecting but no common point")
 
-    # iv) integer boundary compatibility of intersecting pairs
+    # iv) integer boundary compatibility of intersecting pairs: for I_p
+    # meeting I_q, no j <= ell in I_p but not in I_q has j + 1 or j - 1 in
+    # I_q but not in I_p.  The first failure is reported in order of p, q
+    # and j, j + 1 before j - 1; the integers of each union form a bitmask.
+    meets = [[] for _ in range(r)]  # ascending, as edges comes row by row
+    for p, q in edges:
+        meets[p].append(q)
+        meets[q].append(p)
+    points = []
+    for u in f.I:
+        mask = 0
+        for a, b in u.segments:
+            if (a + 1) // 2 <= b // 2:
+                mask |= (2 << b // 2) - (1 << (a + 1) // 2)
+        points.append(mask)
+    candidates = (2 << f.ell) - 1  # j = 0 .. ell
     for p in range(r):
-        for q in range(r):
-            if p == q or not intersects(f.I[p], f.I[q]):
-                continue
-            for j in range(f.ell + 1):
-                if not (contains_integer(f.I[p], j) and not contains_integer(f.I[q], j)):
-                    continue
-                if not contains_integer(f.I[p], j + 1) and contains_integer(f.I[q], j + 1):
-                    return Violation("iv", (f"I{p + 1}", f"I{q + 1}", j),
-                                     f"{j + 1} in I{q + 1} but not in I{p + 1}")
-                if j > 0 and not contains_integer(f.I[p], j - 1) and contains_integer(f.I[q], j - 1):
-                    return Violation("iv", (f"I{p + 1}", f"I{q + 1}", j),
-                                     f"{j - 1} in I{q + 1} but not in I{p + 1}")
+        for q in meets[p]:
+            extra = points[q] & ~points[p]
+            bad = points[p] & ~points[q] & (extra >> 1 | extra << 1) & candidates
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                k = j + 1 if extra >> (j + 1) & 1 else j - 1
+                return Violation("iv", (f"I{p + 1}", f"I{q + 1}", j),
+                                 f"{k} in I{q + 1} but not in I{p + 1}")
     return None
 
 

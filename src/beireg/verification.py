@@ -26,7 +26,6 @@ biconditional fails; the report carries every counterexample edge list.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import graphs as gr
@@ -163,6 +162,9 @@ def run_verification(max_n=6, connected_only=False, jobs=1, oracle=None):
                     {"n": n, "edges": [list(e) for e in edges]})
 
     if jobs > 1 and oracle is None:
+        # imported here, so that a serial run loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = [(g.n, g.edges()) for g in graphs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for n, edges, results in pool.map(_worker, payload, chunksize=8):

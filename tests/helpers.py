@@ -8,8 +8,10 @@ the references for the structural solver's mask steps, `relabel` and
 `random_sig_family` build the inputs of isomorphism and family tests,
 `reference_refine` is the structural solver's refinement without its early
 exits, `reference_dominated` is the Hochster sweep's domination scan
-before its covers were precomputed, and `unfiltered_enumeration` is graph
-enumeration before it skipped the extensions that are never kept.
+before its covers were precomputed, `unfiltered_enumeration` is graph
+enumeration before it skipped the extensions that are never kept, and
+`reference_condition_iv` is the CL family's condition iv as a loop over
+every integer j.
 """
 
 from collections import namedtuple
@@ -86,6 +88,27 @@ def random_sig_family(rng):
         b = rng.randint(2 * a + 1, 2 * ell - 1)
         unions.append(iv.IntervalUnion.of((2 * a, b)))
     return iv.CLFamily(ell, tuple(unions))
+
+
+def reference_condition_iv(f):
+    """The first violation of condition iv of intervals.validate_cl_family
+    by a loop over the ordered pairs of intersecting I unions and every
+    j <= ell, with contains_integer on each integer, or None."""
+    for p in range(f.r):
+        for q in range(f.r):
+            if p == q or not iv.intersects(f.I[p], f.I[q]):
+                continue
+            for j in range(f.ell + 1):
+                if not (iv.contains_integer(f.I[p], j)
+                        and not iv.contains_integer(f.I[q], j)):
+                    continue
+                for k in (j + 1, j - 1):
+                    if (k >= 0 and not iv.contains_integer(f.I[p], k)
+                            and iv.contains_integer(f.I[q], k)):
+                        return iv.Violation(
+                            "iv", (f"I{p + 1}", f"I{q + 1}", j),
+                            f"{k} in I{q + 1} but not in I{p + 1}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,13 +286,25 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(vf, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         jobs = (os.cpu_count() or 1) + 1
         code, out, err = run(capsys, "verify", "--max-n", "2",
                              "--jobs", str(jobs))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--jobs" in err
+        # the stub stands where run_verification takes its pool from
+        with pytest.raises(AssertionError, match="process pool"):
+            vf.run_verification(max_n=2, jobs=2)
+
+    def test_cli_import_loads_no_process_pool(self):
+        src = str(Path(cli.__file__).parents[1])
+        code = ("import sys, beireg.cli; print(sorted({'multiprocessing', "
+                "'concurrent.futures'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
 
     def test_fault_injection_detected(self):
         # harness self-test: a corrupted ground truth must surface as
@@ -389,6 +405,23 @@ class TestUsage:
             self, capsys, tmp_path, raw):
         bad = tmp_path / "bad.edges"
         bad.write_bytes(raw)
+        code, out, err = run(capsys, "invariants", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "n 12\n1_0 3\n", "n 3\n+1 2\n", "n 3\n0 \uff12\n",
+        "n \u0663\n0 1\n", "n 3\n\u0660 1\n", "n 1_0\n0 1\n", "n +3\n0 1\n",
+        "n " + "1" * 5000 + "\n", "n 3\n0 " + "1" * 5000 + "\n",
+        '{"n": ' + "1" * 5000 + ', "edges": []}',
+    ], ids=["underscore", "plus-sign", "fullwidth-digit",
+            "arabic-indic-count", "arabic-indic-endpoint",
+            "underscore-count", "plus-count", "count-past-int-digits",
+            "endpoint-past-int-digits", "json-count-past-int-digits"])
+    def test_integer_outside_the_format_is_usage_error(self, capsys,
+                                                       tmp_path, text):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "invariants", str(bad))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -30,6 +30,22 @@ class TestGraphText:
         with pytest.raises(fm.ParseError):
             fm.parse_graph_text("n 2\n0 5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 12\n1_0 3\n", "line 2: non-integer endpoint in '1_0 3'"),
+        ("n 3\n+1 2\n", "line 2: non-integer endpoint in '+1 2'"),
+        ("n 3\n\u0660 1\n", "line 2: non-integer endpoint in '\u0660 1'"),
+        ("n \u0663\n0 1\n", "line 1: expected 'n <count>', got 'n \u0663'"),
+        ("n +3\n0 1\n", "line 1: expected 'n <count>', got 'n +3'"),
+        ("n 3\n-1 2\n", "line 2: edge -1 2 out of range"),
+    ])
+    def test_ascii_digits_only(self, text, message):
+        with pytest.raises(fm.ParseError) as err:
+            fm.parse_graph_text(text)
+        assert str(err.value) == message
+
+    def test_leading_zeros_are_digits(self):
+        assert fm.parse_graph_text("n 03\n00 2\n").edges() == [(0, 2)]
+
     def test_comments_and_blanks_skipped(self):
         g = fm.parse_graph_text("# a triangle\nn 3\n\n0 1\n1 2\n0 2\n")
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]

@@ -50,6 +50,35 @@ def rule_sets(rng, sweep, nverts, count):
         yield w & ~sweep._apexes(w, internal), internal
 
 
+def anchor_missed(sweep, sigma, internal, floor, anchor=0):
+    """True when anchor has a vertex outside the set that the singles and
+    cone-apex rules leave of sigma, the union of the generators inside
+    sigma that miss every singleton generator, so that _solve prunes
+    sigma at or below floor by the missing-anchor rule."""
+    gens = [sweep.gens[i] for i in bits(internal)]
+    singles = kept = 0
+    for g in gens:
+        if g & (g - 1) == 0:
+            singles |= g
+    for g in gens:
+        if not g & singles:
+            kept |= g
+    return bool(anchor & ~(sigma & kept))
+
+
+def restricted_table(ideal):
+    """R(w) for every vertex set w of the ideal's ring, indexed by mask:
+    jj by the dense reference naive_jj on each set, then R(w) the largest
+    over the sets inside w, R(emptyset) = 0."""
+    gens = supports(ideal)
+    table = [0] * (1 << ideal.nvars)
+    for w in range(1, len(table)):
+        jj = naive_jj(gens, bits(w))
+        table[w] = max([0 if jj is None else jj]
+                       + [table[w & ~(1 << x)] for x in bits(w)])
+    return table
+
+
 def naive_restricted(ideal, w):
     """R(w) by the full 2^|w| reference: the generators inside w,
     relabelled onto 0 .. |w| - 1."""
@@ -178,17 +207,22 @@ class TestHochsterRegularity:
 
             def counted(self, *args):
                 out = original(self, *args)
-                if fires(out):
+                if fires(out, self, *args):
                     fired[label or name] += 1
                 return out
 
             monkeypatch.setattr(_RestrictedSweep, name, counted)
 
-        spy("_apexes", bool)
-        spy("_dominated", lambda out: out is not None)
-        spy("_dominated", lambda out: out is not None and out[2], "mutual")
-        spy("_packs", bool)
-        spy("_gen_components", lambda out: len(out) > 1)
+        spy("_apexes", lambda out, *args: bool(out))
+        spy("_dominated", lambda out, *args: out is not None)
+        spy("_dominated", lambda out, *args: out is not None and out[2],
+            "mutual")
+        # _packs with no apex: the disjoint-generator bound
+        spy("_packs", lambda out, sweep, *args: out and len(args) == 2)
+        spy("_link_packs", lambda out, *args: out)
+        spy("_gen_components", lambda out, *args: len(out) > 1)
+        spy("_solve", lambda out, sweep, *args: anchor_missed(sweep, *args),
+            "missed")
         core_jj, without = _RestrictedSweep._core_jj, _RestrictedSweep._without
 
         def sized_core_jj(self, core, internal, floor):
@@ -213,8 +247,60 @@ class TestHochsterRegularity:
             expected = naive_monomial_regularity(supports(ideal), nverts)
             assert hochster_regularity(ideal) == expected, supports(ideal)
         assert set(fired) == {"singles", "_apexes", "_dominated", "mutual",
-                              "_packs", "_gen_components"}, fired
+                              "_packs", "_link_packs", "_gen_components",
+                              "missed"}, fired
         assert max(core_sizes) >= 5, core_sizes
+
+    def test_anchored_solve_keeps_its_contract(self, monkeypatch):
+        """Every _solve call of the sweep on random ideals of up to 8
+        vertices, against the full reference table R: the anchor's
+        guarantee holds on entry (R(sigma - a) <= floor for each anchor
+        vertex a); the answer is R(sigma) when that exceeds floor and
+        otherwise lies in [R(sigma), floor]; and a set that the
+        missing-anchor rule or the anchored link bound prunes has
+        R(sigma) <= floor.  After each sweep every exact memo entry is R
+        and every upper one at least R.  Both prunes fire in the draws."""
+        solve, link_packs = _RestrictedSweep._solve, _RestrictedSweep._link_packs
+        fired = Counter()
+        frames = []
+        table = []
+
+        def checked(self, sigma, internal, floor, anchor=0):
+            for a in bits(anchor):
+                assert table[sigma & ~(1 << a)] <= floor, (sigma, anchor, a)
+            missed = anchor_missed(self, sigma, internal, floor, anchor)
+            frames.append(False)
+            out = solve(self, sigma, internal, floor, anchor)
+            linked = frames.pop()
+            r = table[sigma]
+            assert out == r if r > floor else r <= out <= floor, (
+                sigma, floor, anchor, out, r)
+            for rule, fires in (("missed", missed), ("link", linked)):
+                if fires:
+                    fired[rule] += 1
+                    assert r <= floor, (rule, sigma, floor, anchor)
+            return out
+
+        def spied_link_packs(self, *args):
+            out = link_packs(self, *args)
+            frames[-1] |= out
+            return out
+
+        monkeypatch.setattr(_RestrictedSweep, "_solve", checked)
+        monkeypatch.setattr(_RestrictedSweep, "_link_packs", spied_link_packs)
+        rng = random.Random(211)
+        for trial in range(60):
+            nverts = rng.randint(5, 8)
+            ideal = random_ideal(rng, nverts, 12,
+                                 (2, 3, 3) if trial % 2 else (1, 2, 3, 3, 4))
+            table[:] = restricted_table(ideal)
+            sweep = _RestrictedSweep(list(ideal.gens))
+            assert sweep.regularity() == table[-1], supports(ideal)
+            for sigma, value in sweep._exact.items():
+                assert value == table[sigma], (supports(ideal), sigma)
+            for sigma, value in sweep._upper.items():
+                assert value >= table[sigma], (supports(ideal), sigma)
+        assert fired["missed"] >= 10 and fired["link"] >= 10, fired
 
     def test_generator_leaving_sigma_by_one_vertex(self):
         # the value 3 comes from sigma = {0,1,2,4,5} alone; the generator
@@ -639,9 +725,9 @@ class TestLinkScreen:
 class TestSweepPins:
     """Values and recursion size of the sweep.  The values date from
     before its kernel was screened mod 2 and read generator unions from
-    byte tables, the sizes from after the mutual-pair and disjoint-generator
-    rules.  A change to the kernel that alters a value, or the sets the
-    recursion visits, changes a pin."""
+    byte tables, the sizes from after the anchored rules.  A change to the
+    kernel that alters a value, or the sets the recursion visits, changes
+    a pin."""
 
     # sha256 over (n, edges, oracle_reg) of every connected class with
     # 2 <= n <= 7 (995 classes) and 30 seeded connected 8-vertex graphs
@@ -649,8 +735,8 @@ class TestSweepPins:
         "c0bc9c6a5c55a4a4afd5125af014ab2b58940f907f8f52365226cfe224d09f94"
     # _solve and _branch calls over in(J_G) of every connected class with
     # n <= 6, in the given labelling and in the oracle's relabelling
-    SOLVE_CALLS, BRANCH_CALLS = 7611, 3822
-    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 6033, 2955
+    SOLVE_CALLS, BRANCH_CALLS = 4858, 2438
+    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 3792, 1855
 
     @staticmethod
     def seeded_connected_8():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from beireg import graphs as gr
 from beireg import intervals as iv
 
-from helpers import random_sig_family
+from helpers import random_sig_family, reference_condition_iv
 
 
 # the three unions of the showcase family, in half-units
@@ -170,6 +171,46 @@ class TestValidateCLFamily:
                     # the reported clique must genuinely have no common point
                     idx = [int(name[1:]) - 1 for name in violation.witness]
                     assert iv.common_point([fam.I[i] for i in idx]) is None
+
+
+def random_family(rng):
+    """A family with 2 <= ell <= 9 and up to six unions of one to three
+    segments that meet condition ii, each endpoint then moved by one
+    half-unit with probability 1/10, which may break it."""
+    ell = rng.randint(2, 9)
+    unions = []
+    for _ in range(rng.randint(0, 6)):
+        segs, lo = [], 0
+        for _ in range(rng.randint(1, 3)):
+            if lo > 2 * ell - 2:
+                break
+            a = 2 * rng.randint(lo // 2, ell - 1)
+            b = rng.randint(a + 1, 2 * ell - 1)
+            if rng.random() < 0.1:
+                a += rng.choice((-1, 1)) if a > lo else 1
+            if rng.random() < 0.1:
+                b += 1
+            segs.append((a, max(a, b)))
+            lo = b + 6 - b % 2
+        unions.append(iv.IntervalUnion.of(*segs))
+    return iv.CLFamily(ell, tuple(unions))
+
+
+def test_condition_iv_matches_the_integer_loop():
+    """Where validate_cl_family reaches condition iv, its first violation
+    (pair order, j and message) is the reference loop's, on random
+    families, some with endpoints moved; both outcomes occur."""
+    rng = random.Random(331)
+    outcomes = Counter()
+    for _ in range(3000):
+        fam = random_family(rng)
+        violation = iv.validate_cl_family(fam)
+        if violation is None or violation.condition == "iv":
+            assert violation == reference_condition_iv(fam), fam
+            # None, or whether the integer named lies above j
+            outcomes[violation and violation.detail.startswith(
+                str(violation.witness[2] + 1))] += 1
+    assert min(outcomes[None], outcomes[True], outcomes[False]) >= 20, outcomes
 
 
 class TestHellyAndEmbedding:
