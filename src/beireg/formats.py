@@ -4,8 +4,10 @@ reports.
 Graph text format: first line "n <count>", then one "u v" pair per line
 (0-based, whitespace separated).  Graph JSON:
 {"n": int, "edges": [[u, v], ...], "labels": [n strings]?}.  Both parsers
-reject self-loops and duplicate edges.  Graphs are read and written;
-families, certificates and reports are only written, never read back.
+reject self-loops and duplicate edges, and a vertex count above
+MAX_VERTICES before anything is allocated for it.  Graphs are read and
+written; families, certificates and reports are only written, never read
+back.
 Family JSON carries interval endpoints in half-units as integers; the path
 unions are implied by ell and never serialized.
 """
@@ -27,6 +29,10 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # graphs
+
+# above the 2003 vertices of the largest generated witness, gen lrc 400 800
+# 1600, so that its edge list reads back
+MAX_VERTICES = 4096
 
 _COUNT = re.compile(r"[0-9]+")
 _ENDPOINT = re.compile(r"-?[0-9]+")  # a negative one is out of range
@@ -58,6 +64,9 @@ def parse_graph_text(text):
     n = _integer(parts[1], _COUNT) if len(parts) == 2 and parts[0] == "n" else None
     if n is None:
         raise ParseError(f"line {line_no}: expected 'n <count>', got {header!r}")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {line_no}: vertex count above the limit "
+                         f"of {MAX_VERTICES}")
     edges = []
     seen = set()
     for extra, raw in enumerate(lines[line_no:], start=line_no + 1):
@@ -99,6 +108,8 @@ def parse_graph_json(text):
     labels = data.get("labels")
     if not _is_int(n) or n < 0:
         raise ParseError("'n' must be a non-negative integer")
+    if n > MAX_VERTICES:
+        raise ParseError(f"'n' is above the vertex limit of {MAX_VERTICES}")
     if "labels" in data and not (
             isinstance(labels, list) and len(labels) == n
             and all(isinstance(x, str) for x in labels)):

@@ -8,20 +8,21 @@ by branch-and-bound over ordered partitions) are deliberate: every caller
 in this package works at desk scale (n <= 13), where exactness beats
 asymptotics.
 
-Each of components, induced subgraphs, maximal cliques and longest induced
-paths has one kernel that works on neighbour masks: a tuple whose entry v
-has bit u set iff u ~ v, over the vertices 0..k-1.  The structural solver
-calls the kernels on masks directly; `components`, `induced_subgraph`,
-`maximal_cliques` and `longest_induced_path` wrap them for a `Graph`.
+A `Graph` is its neighbour masks: a tuple whose entry v has bit u set iff
+u ~ v, over the vertices 0..n-1.  Each of components, induced subgraphs,
+maximal cliques and longest induced paths has one kernel that works on
+such a tuple.  The structural solver calls the kernels on masks directly;
+`components`, `induced_subgraph`, `maximal_cliques` and
+`longest_induced_path` wrap them for a `Graph`.
 
 `induced_path` and `clique_masks` are memoized on the neighbour-mask
 tuple, which names one labelled graph, so a Graph and the structural
 solver's sub-solves read one answer per labelled graph.  A `Graph` builds
-its masks, its per-component view and its sorted clique tuples once, on
-first use, so the callers of one instance share the same subgraph
-instances.  Lists are handed out as copies, so a caller that edits one
-does not change the next answer.  These caches are not dataclass fields,
-so they take no part in equality or hashing.
+its per-component view and its sorted clique tuples once, on first use,
+so the callers of one instance share the same subgraph instances.  Lists
+are handed out as copies, so a caller that edits one does not change the
+next answer.  These caches are not dataclass fields, so they take no part
+in equality or hashing.
 
 The invariants that add up over components (ell, the clique bounds, the
 regularity itself) are sums over `component_graphs`, the one per-component
@@ -30,77 +31,86 @@ itself, not rebuilt.
 
 `enumerate_graphs` works on neighbour-mask tuples: it computes each
 candidate's canonical code once, keeps that code as the sort key, and
-builds a Graph only for each class representative it keeps.
+builds a Graph only for each class representative it keeps, on the masks
+it kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: symmetric, irreflexive adjacency sets."""
+    """Simple undirected graph, built from its neighbour masks: bit u of
+    masks[v] is set iff u ~ v.  The masks must be symmetric, with no bit
+    at v or at n and above.
+
+    adj, the increasing neighbour tuples, is derived from the masks.  It
+    stays a dataclass field because perfbench's `plain` serializes a Graph
+    through its fields, and its golden results hold {n, adj, labels}; a
+    sorted tuple serializes as the sorted set it replaced did.  Equality
+    and hashing run over (n, labels, adj), which the masks determine."""
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: InitVar[tuple[int, ...]]
     labels: tuple[str, ...] | None = None
+    adj: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, masks):
+        masks = tuple(masks)
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
-        for v, nbrs in enumerate(self.adj):
+        if len(masks) != self.n:
+            raise ValueError("mask count does not match vertex count")
+        for v, m in enumerate(masks):
+            if m >> self.n:  # a negative mask has every high bit set
+                raise ValueError(f"neighbour mask of {v} out of range")
+            if m >> v & 1:
+                raise ValueError(f"self-loop at {v}")
+        adj = tuple(map(bits, masks))
+        for v, nbrs in enumerate(adj):
             for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise ValueError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at {v}")
-                if v not in self.adj[u]:
+                if not masks[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency {v}-{u}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count does not match vertex count")
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n, edges, labels=None):
         """Build a graph from an edge list, rejecting self-loops, duplicates
         and out-of-range endpoints."""
-        adj = [set() for _ in range(n)]
-        seen = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop edge {u} {v}")
             a, b = (u, v) if u < v else (v, u)
             if a < 0 or b >= n:
                 raise ValueError(f"edge {a} {b} out of range for n={n}")
-            if (a, b) in seen:
+            if masks[a] >> b & 1:
                 raise ValueError(f"duplicate edge {u} {v}")
-            seen.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-        return cls(n, tuple(frozenset(s) for s in adj),
-                   tuple(labels) if labels is not None else None)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return cls(n, masks, tuple(labels) if labels is not None else None)
 
     def edges(self):
         """Sorted list of edges as (u, v) pairs with u < v."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u, m in enumerate(self._masks)
+                for v in bits(m & -(2 << u))]
 
     def edge_count(self):
-        return sum(len(s) for s in self.adj) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def has_edge(self, u, v):
-        return v in self.adj[u]
+        return bool(self._masks[u] >> v & 1)
 
     def neighbor_masks(self):
-        """Per-vertex neighborhoods as a tuple of bitmasks, the kernels'
-        input; computed once per graph."""
+        """Per-vertex neighbourhoods as a tuple of bitmasks, the kernels'
+        input."""
         return self._masks
-
-    @cached_property
-    def _masks(self):
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
     @cached_property
     def _view(self):
@@ -110,11 +120,6 @@ class Graph:
     @cached_property
     def _cliques(self):
         return tuple(sorted(bits(c) for c in clique_masks(self._masks)))
-
-    @classmethod
-    def _of_masks(cls, masks, labels=None):
-        """The graph whose neighbour masks are masks."""
-        return cls(len(masks), tuple(frozenset(bits(m)) for m in masks), labels)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class GraphInvariants:
 # construction helpers
 
 def empty_graph(n, labels=None):
-    return Graph(n, tuple(frozenset() for _ in range(n)), labels)
+    return Graph(n, (0,) * n, labels)
 
 
 def path_graph(n):
@@ -187,18 +192,25 @@ _BYTE_BITS, _HIGH_BYTE_BITS, _TOP_BYTE_BITS = map(_byte_bits, (0, 8, 16))
 def bits(mask):
     """The set bit positions of a non-negative mask, as an increasing
     tuple; below 2^16 by two byte-table lookups, below 2^24 (the oracle's
-    rings of 18 and 20 variables) by three, and past that by a loop."""
+    rings of 18 and 20 variables) by three.  Past that, a mask with fewer
+    set bits than 1 in 64 by a loop over them, which takes a few big-int
+    operations per bit, and any other mask by one table lookup per byte,
+    which takes none."""
     if mask < 0x10000:
         return _BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8]
     if mask < 0x1000000:
         return (_BYTE_BITS[mask & 0xFF] + _HIGH_BYTE_BITS[mask >> 8 & 0xFF]
                 + _TOP_BYTE_BITS[mask >> 16])
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
+    if mask.bit_count() << 6 < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(low.bit_length() - 1)
+        return tuple(out)
+    return tuple([8 * i + v for i, byte in enumerate(
+        mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
+        if byte for v in _BYTE_BITS[byte]])
 
 
 def component_masks(nb, alive):
@@ -295,7 +307,7 @@ def induced_subgraph(g, vertices):
         return g, old_ids
     masks = induced_masks(g.neighbor_masks(), sum(1 << v for v in old_ids))
     labels = tuple(g.labels[v] for v in old_ids) if g.labels is not None else None
-    return Graph._of_masks(masks, labels), old_ids
+    return Graph(len(masks), masks, labels), old_ids
 
 
 def component_graphs(g):
@@ -348,7 +360,7 @@ def longest_induced_path(g):
         raise ValueError("graph has no vertices")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    return induced_path(g._masks)
+    return induced_path(g.neighbor_masks())
 
 
 def ell(g):
@@ -549,7 +561,7 @@ def enumerate_graphs(n, connected_only=False):
                 nxt.setdefault(_canonical_code(nb), nb)
         # the degree sum is twice the edge count, so this is the documented order
         order = sorted(nxt, key=lambda c: (sum(map(int.bit_count, nxt[c])), c))
-        _ENUM_CACHE[k] = [Graph._of_masks(nxt[c]) for c in order]
+        _ENUM_CACHE[k] = [Graph(k, nxt[c]) for c in order]
     graphs = _ENUM_CACHE[n]
     if connected_only:
         graphs = [g for g in graphs if g.n > 0 and is_connected(g)]

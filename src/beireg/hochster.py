@@ -73,7 +73,9 @@ g - a, for g the generators inside W: a tau with jj(tau) > t contains a,
 and Delta_{tau - a} has no homology in degrees h >= t, so the exact
 sequence of the link screen below gives the link of a in Delta_tau a
 face F with |F| >= t; F + a holds no generator, so F misses a vertex of
-each g - a, and |F| <= |W| - 1 - p < t.
+each g - a, and |F| <= |W| - 1 - p < t.  The sets g - a lie in W - a,
+and only a generator {a, w} leaves one vertex, so an a with fewer than
+2p - |W| + 1 of them is skipped without counting.
 
 A core's homology is taken of Delta_W itself.  Its faces are built size
 by size: a face F + v grows by each vertex w > v for which F + w is a
@@ -93,17 +95,18 @@ through it, which tends to have the fewest of them.
 
 The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
-vertex v, and one more bitset marks the singleton generators.  The
-generators inside W are all of them with through[v] cleared for every v
-outside W, read for vertices 0-23 from three tables that hold the union
-of through[v] over each byte of vertices, each sized to the vertices the
-ideal has in its byte, so the rings of 18 and 20 variables are covered; a
-set reaching past vertex 23 takes a loop over its vertices instead.  The
-union of a generator bitset is read the same way, from one table per 8
-generator indices.  The domination test for v ORs,
-over the generators g through v, a bitset kept per (g, v): the generators
-through every vertex of g but v.  That settles every candidate u at once.
-A join factor grows by flood fill over these bitsets.
+vertex v, pairs[v] that of the generators {v, w}, and one more bitset
+marks the singleton generators.  The generators inside W are all of them
+with through[v] cleared for every v outside W, read for vertices 0-23
+from three tables that hold the union of through[v] over each byte of
+vertices, each sized to the vertices the ideal has in its byte, so the
+rings of 18 and 20 variables are covered; a set reaching past vertex 23
+takes a loop over its vertices instead.  The union of a generator bitset
+is read the same way, from one table per 8 generator indices.  The
+domination test for v ORs, over the generators g through v, a bitset kept
+per (g, v): the generators through every vertex of g but v.  That settles
+every candidate u at once.  A join factor grows by flood fill over these
+bitsets.
 
 Homology is computed over GF(2) first.  A boundary column is an int
 bitset over the row indices, and elimination XORs columns on their top
@@ -277,11 +280,15 @@ class _RestrictedSweep:
     def __init__(self, gens):
         self.gens = gens
         self.through = [0] * max(gens).bit_length()
+        self.pairs = [0] * len(self.through)
         self.singles = 0
         for i, g in enumerate(gens):
-            for v in bits(g):
+            verts = bits(g)
+            for v in verts:
                 self.through[v] |= 1 << i
-            if g & (g - 1) == 0:
+                if len(verts) == 2:
+                    self.pairs[v] |= 1 << i
+            if len(verts) == 1:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
         # for vertices 0-7, 8-15 and 16-23, sized to the vertices there are
@@ -493,11 +500,17 @@ class _RestrictedSweep:
                 internal, gens[(internal & -internal).bit_length() - 1] & ~apex)
         return False
 
-    def _link_packs(self, internal, anchor, need):
+    def _link_packs(self, internal, anchor, need, size):
         """True when _packs finds need pairwise disjoint sets g - a for
-        some vertex a of anchor: the anchored link bound."""
+        some vertex a of anchor: the anchored link bound.  The sets lie in
+        the size - 1 vertices of sigma other than a, and only a generator
+        {a, w} gives a set of one vertex, so need of them take at least
+        2 need - pairs(a) vertices.  An a with pairs(a) < 2 need - size + 1
+        is skipped without the greedy, which would fail there."""
+        pairs, least = self.pairs, 2 * need - size + 1
         for a in bits(anchor):
-            if self._packs(internal, need, 1 << a):
+            if ((pairs[a] & internal).bit_count() >= least
+                    and self._packs(internal, need, 1 << a)):
                 return True
         return False
 
@@ -540,7 +553,7 @@ class _RestrictedSweep:
             if 2 < need <= len(verts) // 2 and self._packs(internal, need):
                 answer = floor
             elif (anchor and 2 < need < len(verts)
-                  and self._link_packs(internal, anchor, need)):
+                  and self._link_packs(internal, anchor, need, len(verts))):
                 answer = floor
             if answer > floor:
                 answer = self._branch(sigma, verts, internal, floor, anchor)

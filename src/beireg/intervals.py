@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, maximal_cliques
+from .graphs import Graph, bits, clique_masks
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,18 @@ class Violation:
         return f"condition {self.condition} violated by {self.witness}: {self.detail}"
 
 
+def _meet_masks(unions):
+    """The neighbour masks of the graph on the unions, with p ~ q iff the
+    unions p and q intersect."""
+    masks = [0] * len(unions)
+    for p, a in enumerate(unions):
+        for q in range(p + 1, len(unions)):
+            if intersects(a, unions[q]):
+                masks[p] |= 1 << q
+                masks[q] |= 1 << p
+    return tuple(masks)
+
+
 def validate_cl_family(f: CLFamily) -> Violation | None:
     """Check the four CL conditions; returns the first violation or None.
 
@@ -161,13 +173,13 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
         if segs[-1][1] >= 2 * f.ell:
             return Violation("ii", (f"I{i}",), f"right endpoint {segs[-1][1] / 2} not below ell={f.ell}")
 
-    # iii) Helly: every pairwise-intersecting subset has a common point
+    # iii) Helly: every pairwise-intersecting subset has a common point.
+    # The maximal cliques of the meet graph are read from its masks in
+    # lexicographic order, which fixes the violation reported.
     r = f.r
-    edges = [(p, q) for p in range(r) for q in range(p + 1, r)
-             if intersects(f.I[p], f.I[q])]
+    meets = _meet_masks(f.I)
     if r >= 2:
-        meet_graph = Graph.from_edges(r, edges)
-        for clique in maximal_cliques(meet_graph):
+        for clique in sorted(bits(c) for c in clique_masks(meets)):
             if len(clique) < 2:
                 continue
             if common_point([f.I[p] for p in clique]) is None:
@@ -178,10 +190,6 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
     # meeting I_q, no j <= ell in I_p but not in I_q has j + 1 or j - 1 in
     # I_q but not in I_p.  The first failure is reported in order of p, q
     # and j, j + 1 before j - 1; the integers of each union form a bitmask.
-    meets = [[] for _ in range(r)]  # ascending, as edges comes row by row
-    for p, q in edges:
-        meets[p].append(q)
-        meets[q].append(p)
     points = []
     for u in f.I:
         mask = 0
@@ -191,7 +199,7 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
         points.append(mask)
     candidates = (2 << f.ell) - 1  # j = 0 .. ell
     for p in range(r):
-        for q in meets[p]:
+        for q in bits(meets[p]):
             extra = points[q] & ~points[p]
             bad = points[p] & ~points[q] & (extra >> 1 | extra << 1) & candidates
             if bad:
@@ -214,9 +222,6 @@ def intersection_graph(f: CLFamily):
     Vertices 0..ell are J_0..J_ell, vertices ell+1..ell+r are I_1..I_r;
     returns (graph, member names).
     """
-    members = list(f.j_unions()) + list(f.I)
+    members = (*f.j_unions(), *f.I)
     names = member_names(f)
-    n = len(members)
-    edges = [(p, q) for p in range(n) for q in range(p + 1, n)
-             if intersects(members[p], members[q])]
-    return Graph.from_edges(n, edges, names), names
+    return Graph(len(members), _meet_masks(members), names), names

@@ -65,10 +65,11 @@ def _build_component_certificate(sub, old_ids, length, path):
     certificate."""
     position = {v: j for j, v in enumerate(path)}
     off_path = [v for v in range(sub.n) if v not in position]
+    nb, on_path = sub.neighbor_masks(), sum(1 << v for v in path)
 
     unions = []
     for u in off_path:
-        neigh = sorted(position[w] for w in sub.adj[u] if w in position)
+        neigh = sorted(position[w] for w in gr.bits(nb[u] & on_path))
         if not neigh:
             raise CertificateError("off-path vertex with no path neighbor")
         # maximal runs lie two or more positions apart: every gap exceeds 2

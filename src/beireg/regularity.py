@@ -107,8 +107,8 @@ def _relabelled(sub):
     position = [0] * sub.n
     for k, v in enumerate(order):
         position[v] = k
-    return gr.Graph._of_masks(tuple(sum(1 << position[u] for u in gr.bits(nb[v]))
-                                    for v in order))
+    return gr.Graph(sub.n, [sum(1 << position[u] for u in gr.bits(nb[v]))
+                            for v in order])
 
 
 @lru_cache(maxsize=16)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -423,6 +424,20 @@ class TestUsage:
         bad = tmp_path / "bad.graph"
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "invariants", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "n 100000000000000000000\n0 1\n",
+        '{"n": 100000000000000000000, "edges": [[0, 1]]}',
+    ], ids=["edgelist", "json"])
+    def test_huge_vertex_count_is_refused_at_once(self, capsys, tmp_path,
+                                                  text):
+        huge = tmp_path / "huge.graph"
+        huge.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", str(huge))
+        assert time.perf_counter() - start < 1
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 

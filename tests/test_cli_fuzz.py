@@ -3,9 +3,11 @@ graph commands exit 0, 1 or 2, raise nothing, and write at most one line
 to stderr; so do gen, verify, search-l2 and reg on the fixtures, whatever
 their integer arguments and flags.
 
-Generated vertex counts stay at n <= 7 (a raw byte string holds at most one
-decimal digit), because Graph.from_edges allocates one set per vertex and a
-huge header would exhaust memory rather than test the contract.
+Generated vertex counts are either at most 7 or past formats.MAX_VERTICES,
+up to 10^30: the parsers refuse a count past the limit before allocating
+anything for it.  A raw byte string holds at most one decimal digit, since
+a count of a few hundred or thousand vertices is a valid graph whose
+answers take seconds, not a test of the contract.
 """
 
 import contextlib
@@ -16,15 +18,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beireg import cli
+from beireg.formats import MAX_VERTICES
 from conftest import FIXTURES
 
 SMALL_INT = st.integers(-2, 8)
+COUNT = st.one_of(st.integers(0, 7), st.integers(MAX_VERTICES + 1, 10**30))
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.floats(-2, 8), st.lists(SMALL_INT, max_size=3))
 
 EDGELIST_TEXT = st.builds(
     lambda header, lines: "\n".join([header] + lines) + "\n",
-    st.one_of(st.integers(0, 7).map(lambda k: f"n {k}"),
+    st.one_of(COUNT.map(lambda k: f"n {k}"),
               st.sampled_from(["", "n", "n x", "m 3", "n 3 4", "n -1",
                                "n ²", "# comment"])),
     st.lists(st.lists(st.one_of(SMALL_INT.map(str),
@@ -33,7 +37,7 @@ EDGELIST_TEXT = st.builds(
              max_size=8))
 
 GRAPH_JSON = st.fixed_dictionaries(
-    {"n": st.one_of(st.integers(-1, 7), JUNK),
+    {"n": st.one_of(st.just(-1), COUNT, JUNK),
      "edges": st.one_of(
          st.lists(st.one_of(st.lists(st.one_of(SMALL_INT, JUNK), max_size=3),
                             JUNK),

@@ -128,6 +128,20 @@ class TestGraphJson:
         assert "needs an object with 'n' and 'edges'" in str(err.value)
 
 
+class TestVertexLimit:
+    def test_limit_reads_back_the_largest_witness(self):
+        assert fm.MAX_VERTICES >= 2003  # gen lrc 400 800 1600
+
+    @pytest.mark.parametrize("parse, text", [
+        (fm.parse_graph_text, "n {}\n"),
+        (fm.parse_graph_json, '{{"n": {}, "edges": []}}'),
+    ], ids=["edgelist", "json"])
+    def test_a_count_at_the_limit_is_read(self, parse, text):
+        assert parse(text.format(fm.MAX_VERTICES)).n == fm.MAX_VERTICES
+        with pytest.raises(fm.ParseError, match="limit"):
+            parse(text.format(fm.MAX_VERTICES + 1))
+
+
 class TestFamilyJson:
     def test_roundtrip(self, cl_example):
         cert = rec.recognize_cl(cl_example)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,54 @@ class TestGraphType:
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
-            gr.Graph(2, (frozenset({1}), frozenset()))
+            gr.Graph(2, (0b10, 0))
+
+    @pytest.mark.parametrize("n, masks, labels", [
+        (2, (0b10,), None),  # one mask short
+        (2, (0b100, 0), None),  # a neighbour at n
+        (2, (-1, 0), None),  # a negative mask has every high bit
+        (2, (0b11, 0b01), None),  # a self-loop at 0
+        (-1, (), None),
+        (2, (0b10, 0b01), ("a",)),
+    ], ids=["length", "bit-at-n", "negative", "self-loop", "negative-n",
+            "label-count"])
+    def test_rejects_malformed_masks(self, n, masks, labels):
+        with pytest.raises(ValueError):
+            gr.Graph(n, masks, labels)
+
+    def test_masks_make_the_adjacency(self):
+        g = gr.Graph(3, [0b110, 0b001, 0b001], ("a", "b", "c"))
+        assert g.neighbor_masks() == (0b110, 0b001, 0b001)
+        assert g.adj == ((1, 2), (0,), (0,))
+        assert g.edges() == [(0, 1), (0, 2)] and g.edge_count() == 2
+        assert g.has_edge(1, 0) is True and g.has_edge(1, 2) is False
+
+    def test_from_edges_rebuilds_every_class_up_to_seven(self):
+        for n in range(8):
+            for g in gr.enumerate_graphs(n):
+                h = gr.Graph.from_edges(g.n, g.edges(), g.labels)
+                assert h == g and hash(h) == hash(g)
+                assert h.neighbor_masks() == g.neighbor_masks()
+
+    def test_fields_are_those_the_golden_serializes(self):
+        # perfbench's workloads.plain serializes a Graph through its
+        # dataclass fields, and the golden results hold n, adj and labels
+        assert [f.name for f in dataclasses.fields(gr.Graph)] == [
+            "n", "labels", "adj"]
+
+    def test_enumerated_classes_are_small(self, monkeypatch):
+        """enumerate_graphs(7) retains under 1 KiB per class, all the
+        lists it caches for n <= 7 included (2.9 KiB when Graph held one
+        frozenset per vertex)."""
+        monkeypatch.setattr(gr, "_ENUM_CACHE", {})
+        tracemalloc.start()
+        try:
+            graphs = gr.enumerate_graphs(7)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == 1044
+        assert retained / len(graphs) < 1024, retained
 
 
 class TestComponents:

@@ -302,6 +302,48 @@ class TestHochsterRegularity:
                 assert value >= table[sigma], (supports(ideal), sigma)
         assert fired["missed"] >= 10 and fired["link"] >= 10, fired
 
+    def test_link_pack_screen_skips_only_failing_greedies(self,
+                                                          monkeypatch):
+        """Every anchor that _link_packs screens out by counting, in the
+        sweeps of random ideals and of in(J_G) of seeded 7- and 8-vertex
+        graphs, is one where _packs fails; and the screen fires there."""
+        link_packs, packs = _RestrictedSweep._link_packs, _RestrictedSweep._packs
+        screened = Counter()
+
+        def spied(self, internal, anchor, need, size):
+            tried = []
+
+            def tracked(internal, need, apex=0):
+                tried.append(apex)
+                return packs(self, internal, need, apex)
+
+            self._packs = tracked
+            try:
+                out = link_packs(self, internal, anchor, need, size)
+            finally:
+                del self._packs
+            reached = [1 << a for a in bits(anchor)]
+            if out:  # the anchors after the one that packs are not reached
+                reached = reached[:reached.index(tried[-1]) + 1]
+            for apex in reached:
+                if apex not in tried:
+                    screened[size] += 1
+                    assert not packs(self, internal, need, apex), (
+                        self.gens, internal, need, apex)
+            return out
+
+        monkeypatch.setattr(_RestrictedSweep, "_link_packs", spied)
+        rng = random.Random(211)
+        for trial in range(60):
+            ideal = random_ideal(rng, rng.randint(5, 8), 12,
+                                 (2, 3, 3) if trial % 2 else (1, 2, 3, 3, 4))
+            hochster_regularity(ideal)
+        random_screens = sum(screened.values())
+        for g in TestSweepPins.seeded_connected_8()[:10]:
+            hochster_regularity(ideal_of(g))
+        assert random_screens >= 30, screened
+        assert sum(screened.values()) - random_screens >= 500, screened
+
     def test_generator_leaving_sigma_by_one_vertex(self):
         # the value 3 comes from sigma = {0,1,2,4,5} alone; the generator
         # {0,1,3} leaves it by vertex 3 only, and must not count as inside
