@@ -234,21 +234,25 @@ def component_masks(nb, alive):
 
 def induced_masks(nb, keep):
     """The neighbour masks of the subgraph induced on the bits of keep, its
-    vertices renumbered 0..k-1 in increasing order: each dropped bit,
-    highest first, is squeezed out of every kept mask."""
+    vertices renumbered 0..k-1 in increasing order: every kept mask is
+    shifted right by keep's least bit, and then each dropped bit between
+    keep's least and greatest bits, highest first, is squeezed out of it."""
+    if not keep:
+        return ()
+    low = (keep & -keep).bit_length() - 1
+    keep >>= low
     gaps = []
-    drop = ~keep & ((1 << len(nb)) - 1)
+    drop = ~keep & ((1 << keep.bit_length()) - 1)
     while drop:
         high = 1 << drop.bit_length() - 1
         drop ^= high
         gaps.append(high - 1)
     out = []
-    for v, m in enumerate(nb):
-        if keep >> v & 1:
-            m &= keep
-            for low in gaps:
-                m = (m & low) | ((m >> 1) & ~low)
-            out.append(m)
+    for v in bits(keep):
+        m = nb[v + low] >> low & keep
+        for gap in gaps:
+            m = (m & gap) | ((m >> 1) & ~gap)
+        out.append(m)
     return tuple(out)
 
 
@@ -423,31 +427,23 @@ def clique_number(g):
 # chordality
 
 def is_chordal(g):
-    """Perfect-elimination check: repeatedly delete a simplicial vertex;
-    the graph is chordal iff this empties it."""
+    """Perfect-elimination check: repeatedly delete simplicial vertices;
+    the graph is chordal iff this empties it.  v is simplicial when each
+    neighbour u it has left sees all the others.  Each pass deletes every
+    vertex that is simplicial when it is reached; a pass that deletes none
+    proves the graph is not chordal."""
     nb = g.neighbor_masks()
     alive = (1 << g.n) - 1
-    remaining = g.n
-    while remaining:
-        progressed = False
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nbrs = nb[v] & alive
-            clique = True
-            t = nbrs
-            while t and clique:
-                u = (t & -t).bit_length() - 1
-                t &= t - 1
-                if nbrs & ~nb[u] & ~(1 << u):
-                    clique = False
-            if clique:
-                alive &= ~(1 << v)
-                remaining -= 1
-                progressed = True
-                break
-        if not progressed:
+    while alive:
+        start = alive
+        for v in bits(alive):
+            around = nb[v] & alive
+            for u in bits(around):
+                if around & ~nb[u] != 1 << u:
+                    break
+            else:
+                alive ^= 1 << v
+        if alive == start:
             return False
     return True
 

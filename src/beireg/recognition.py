@@ -7,7 +7,8 @@ exactly when it decomposes as path + clique + connector edges.  Both
 recognizers gate on the invariant equality and then assemble an explicit,
 machine-checkable witness; the witness construction is guaranteed to
 succeed once the gate passes, so a failed assembly signals a bug, never an
-input condition.
+input condition.  CL certificates are built and checked on neighbour
+masks: a family's edges and cliques meet its component's as vertex masks.
 """
 
 from __future__ import annotations
@@ -44,44 +45,27 @@ class NotCLReason:
     clique_count: int
 
 
-def _component_runs(neigh_positions):
-    """Split a sorted position set into maximal runs of consecutive integers,
-    returned as (start, count) pairs."""
-    runs = []
-    start = prev = neigh_positions[0]
-    for p in neigh_positions[1:]:
-        if p == prev + 1:
-            prev = p
-        else:
-            runs.append((start, prev - start + 1))
-            start = prev = p
-    runs.append((start, prev - start + 1))
-    return runs
-
-
 def _build_component_certificate(sub, old_ids, length, path):
     """Run the constructive direction on one connected component with
     ell = clique count, given its longest induced path; returns its
-    certificate."""
-    position = {v: j for j, v in enumerate(path)}
-    off_path = [v for v in range(sub.n) if v not in position]
-    nb, on_path = sub.neighbor_masks(), sum(1 << v for v in path)
+    certificate.
 
+    An off-path vertex's path neighbours are a mask over path positions.
+    Its maximal runs start at the bits of near & ~(near << 1) and end at
+    the bits of near & ~(near >> 1); a run s..e gives the union segment
+    [s, e - 1/2] in real units."""
+    nb, on_path = sub.neighbor_masks(), sum(1 << v for v in path)
+    off_path = [v for v in range(sub.n) if not on_path >> v & 1]
     unions = []
     for u in off_path:
-        neigh = sorted(position[w] for w in gr.bits(nb[u] & on_path))
-        if not neigh:
+        near = sum(1 << j for j, v in enumerate(path) if nb[u] >> v & 1)
+        if not near:
             raise CertificateError("off-path vertex with no path neighbor")
-        # maximal runs lie two or more positions apart: every gap exceeds 2
-        runs = _component_runs(neigh)
-        segments = []
-        for start, count in runs:
-            if count < 2:
-                raise CertificateError("path-neighborhood run of a single vertex")
-            # positions start..start+count-1 adjacent: union segment
-            # [start, start + count - 1 - 1/2] in real units
-            segments.append((2 * start, 2 * (start + count - 1) - 1))
-        unions.append(iv.IntervalUnion.of(*segments))
+        starts, ends = near & ~(near << 1), near & ~(near >> 1)
+        if starts & ends:
+            raise CertificateError("path-neighborhood run of a single vertex")
+        unions.append(iv.IntervalUnion.of(*(
+            (2 * s, 2 * e - 1) for s, e in zip(gr.bits(starts), gr.bits(ends)))))
 
     family = iv.CLFamily(ell=length, I=tuple(unions))
     bijection = {f"J{j}": old_ids[v] for j, v in enumerate(path)}
@@ -133,24 +117,22 @@ def validate_cl_certificate(g, cert) -> str | None:
         images = [part.bijection[name] for name in names]
         if len(set(images)) != len(images) or set(images) != set(old_ids):
             return f"component {idx}: bijection is not onto the component"
-        graph_f, _ = iv.intersection_graph(fam)
-        expected = {(min(part.bijection[names[p]], part.bijection[names[q]]),
-                     max(part.bijection[names[p]], part.bijection[names[q]]))
-                    for p, q in graph_f.edges()}
-        actual = {(min(old_ids[u], old_ids[v]), max(old_ids[u], old_ids[v]))
-                  for u, v in sub.edges()}
-        if expected != actual:
+        # carry the family's intersection graph onto component positions
+        position = {v: p for p, v in enumerate(old_ids)}
+        at = [position[v] for v in images]
+        carried = [0] * sub.n
+        for p, m in enumerate(iv.intersection_graph(fam)[0].neighbor_masks()):
+            carried[at[p]] = sum(1 << at[q] for q in gr.bits(m))
+        nb = sub.neighbor_masks()
+        if tuple(carried) != nb:
             return f"component {idx}: edge sets differ"
         # maximal cliques must be exactly F_j = {J_j, J_{j+1}} u {I_i : j in I_i}
         want = set()
         for j in range(fam.ell):
-            members = [f"J{j}", f"J{j + 1}"] + [
-                f"I{i}" for i in range(1, fam.r + 1)
-                if iv.contains_integer(fam.I[i - 1], j)]
-            want.add(frozenset(part.bijection[m] for m in members))
-        have = {frozenset(old_ids[v] for v in clique)
-                for clique in gr.maximal_cliques(sub)}
-        if want != have:
+            members = [j, j + 1] + [fam.ell + i for i in range(1, fam.r + 1)
+                                    if iv.contains_integer(fam.I[i - 1], j)]
+            want.add(sum(1 << at[p] for p in members))
+        if want != set(gr.clique_masks(nb)):
             return f"component {idx}: maximal cliques do not match the family"
     return None
 

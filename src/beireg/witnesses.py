@@ -102,7 +102,7 @@ def gen_lrw(ell, r, wbar):
     q_size = r - ell
 
     labels = [str(i) for i in range(1, path_len + 1)]
-    edges = [(i, i + 1) for i in range(path_len - 1)]
+    edges = {(i, i + 1) for i in range(path_len - 1)}
     nxt = path_len
     u_ids = list(range(nxt, nxt + u_size))
     labels += [f"u{k}" for k in range(1, u_size + 1)]
@@ -118,19 +118,11 @@ def gen_lrw(ell, r, wbar):
     nxt += q_size
 
     # complete graphs on {1,2} u U and on {2,3} u V u Q (0-based: 0,1 and 1,2)
-    k_set = [0, 1] + u_ids
-    kp_set = [1, 2] + v_ids + q_ids
-    seen = set(edges)
-    for group in (k_set, kp_set):
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                e = (min(a, b), max(a, b))
-                if e not in seen:
-                    seen.add(e)
-                    edges.append(e)
-    edges += [(qk, qpk) for qk, qpk in zip(q_ids, qp_ids)]
+    for group in ([0, 1] + u_ids, [1, 2] + v_ids + q_ids):
+        edges |= {(a, b) for a in group for b in group if a < b}
+    edges.update(zip(q_ids, qp_ids))
 
-    g = gr.Graph.from_edges(nxt, edges, labels)
+    g = gr.Graph.from_edges(nxt, sorted(edges), labels)
     _check(gr.is_connected(g), "connected")
     _check(gr.ell(g) == ell, "ell")
     _check(g.n - gr.clique_number(g) + 1 == wbar, "n - omega + 1")

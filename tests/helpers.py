@@ -9,9 +9,10 @@ the references for the structural solver's mask steps, `relabel` and
 `reference_refine` is the structural solver's refinement without its early
 exits, `reference_dominated` is the Hochster sweep's domination scan
 before its covers were precomputed, `unfiltered_enumeration` is graph
-enumeration before it skipped the extensions that are never kept, and
+enumeration before it skipped the extensions that are never kept,
 `reference_condition_iv` is the CL family's condition iv as a loop over
-every integer j.
+every integer j, and `reference_cl_check` is the CL certificate validator
+on edge-pair sets and frozenset cliques, before it read neighbour masks.
 """
 
 from collections import namedtuple
@@ -108,6 +109,46 @@ def reference_condition_iv(f):
                         return iv.Violation(
                             "iv", (f"I{p + 1}", f"I{q + 1}", j),
                             f"{k} in I{q + 1} but not in I{p + 1}")
+    return None
+
+
+def reference_cl_check(g, cert):
+    """recognition.validate_cl_certificate by the comparisons it made
+    before it read neighbour masks: the family's intersection edges and
+    the component's edges as sets of (min, max) pairs of graph vertices,
+    and the cliques F_j and the component's maximal cliques as sets of
+    frozensets of graph vertices.  The checks and messages are the same."""
+    view = gr.component_graphs(g)
+    if len(cert.components) != len(view):
+        return f"certificate has {len(cert.components)} components, graph has {len(view)}"
+    for idx, ((sub, old_ids), part) in enumerate(zip(view, cert.components)):
+        fam = part.family
+        violation = iv.validate_cl_family(fam)
+        if violation is not None:
+            return f"component {idx}: family invalid: {violation}"
+        names = iv.member_names(fam)
+        if sorted(part.bijection) != sorted(names):
+            return f"component {idx}: bijection keys do not match family members"
+        images = [part.bijection[name] for name in names]
+        if len(set(images)) != len(images) or set(images) != set(old_ids):
+            return f"component {idx}: bijection is not onto the component"
+        graph_f, _ = iv.intersection_graph(fam)
+        expected = {(min(images[p], images[q]), max(images[p], images[q]))
+                    for p, q in graph_f.edges()}
+        actual = {(min(old_ids[u], old_ids[v]), max(old_ids[u], old_ids[v]))
+                  for u, v in sub.edges()}
+        if expected != actual:
+            return f"component {idx}: edge sets differ"
+        want = set()
+        for j in range(fam.ell):
+            members = [f"J{j}", f"J{j + 1}"] + [
+                f"I{i}" for i in range(1, fam.r + 1)
+                if iv.contains_integer(fam.I[i - 1], j)]
+            want.add(frozenset(part.bijection[m] for m in members))
+        have = {frozenset(old_ids[v] for v in clique)
+                for clique in gr.maximal_cliques(sub)}
+        if want != have:
+            return f"component {idx}: maximal cliques do not match the family"
     return None
 
 

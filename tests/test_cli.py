@@ -61,6 +61,18 @@ class TestInvariants:
         _, out2, _ = run(capsys, "invariants", path)
         assert out1 == out2
 
+    def test_edgeless_graph_at_the_vertex_limit(self, capsys, tmp_path):
+        # one induced subgraph per isolated vertex: each must cost O(1)
+        # big-int steps, not O(n)
+        edgeless = tmp_path / "edgeless.edges"
+        edgeless.write_text("n 4096\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", str(edgeless))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["components"] == 4096 and data["ell"] == 0
+
 
 class TestRecognize:
     def test_cl_success(self, capsys, fixtures_dir):

@@ -389,8 +389,10 @@ class TestMaskKernels:
         nx = pytest.importorskip("networkx")
         rng = random.Random(41)
         graphs = [g for n in range(1, 7) for g in gr.enumerate_graphs(n)]
-        for _ in range(200):
-            n, p = rng.randint(1, 12), rng.random()
+        # sparse graphs past 64 vertices, where a keep's least bit can lie
+        # beyond a machine word
+        for n, p in [(rng.randint(1, 12), rng.random()) for _ in range(200)] + [
+                (rng.randint(65, 130), rng.random() / 10) for _ in range(20)]:
             graphs.append(gr.Graph.from_edges(n, [
                 (u, v) for u in range(n) for v in range(u + 1, n)
                 if rng.random() < p]))
@@ -399,16 +401,18 @@ class TestMaskKernels:
             h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges())
             nb = g.neighbor_masks()
-            comps = gr.component_masks(nb, (1 << g.n) - 1)
+            full = (1 << g.n) - 1
+            comps = gr.component_masks(nb, full)
             assert {gr.bits(c) for c in comps} == {
                 tuple(sorted(c)) for c in nx.connected_components(h)}
             assert {gr.bits(c) for c in gr.clique_masks(nb)} == {
                 tuple(sorted(c)) for c in nx.find_cliques(h)}
-            keep = rng.getrandbits(g.n)
-            sub = nx.convert_node_labels_to_integers(
-                h.subgraph(gr.bits(keep)), ordering="sorted")
-            assert gr.induced_masks(nb, keep) == tuple(
-                sum(1 << u for u in sub[v]) for v in range(len(sub)))
+            for keep in (0, 1 << rng.randrange(g.n), rng.getrandbits(g.n),
+                         rng.getrandbits(g.n) << rng.randrange(g.n) & full):
+                sub = nx.convert_node_labels_to_integers(
+                    h.subgraph(gr.bits(keep)), ordering="sorted")
+                assert gr.induced_masks(nb, keep) == tuple(
+                    sum(1 << u for u in sub[v]) for v in range(len(sub)))
 
 
 class TestCanonicalForm:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from beireg import intervals as iv
 from beireg import recognition as rec
 from beireg import regularity as rg
 
-from helpers import random_sig_family
+from helpers import random_sig_family, reference_cl_check
 
 
 class TestRecognizeCL:
@@ -89,6 +90,80 @@ class TestValidateCLCertificate:
         cert = rec.recognize_cl(cl_example)
         doubled = gr.disjoint_union(cl_example, gr.complete_graph(2))
         assert rec.validate_cl_certificate(doubled, cert) is not None
+
+    @staticmethod
+    def _mutant(cert, index, family=None, bijection=None):
+        """cert with component index given another family or bijection."""
+        parts = list(cert.components)
+        part = parts[index]
+        parts[index] = rec.CLComponentCertificate(
+            family=family or part.family, bijection=bijection or part.bijection)
+        return rec.CLCertificate(components=tuple(parts))
+
+    @pytest.mark.parametrize("a, b", [("J0", "J1"), ("I1", "I3")])
+    def test_swapped_bijection_entry(self, cl_example, a, b):
+        cert = rec.recognize_cl(cl_example)
+        bijection = dict(cert.components[0].bijection)
+        bijection[a], bijection[b] = bijection[b], bijection[a]
+        mutant = self._mutant(cert, 0, bijection=bijection)
+        assert (rec.validate_cl_certificate(cl_example, mutant)
+                == "component 0: edge sets differ")
+
+    # I1 = [1, 3.5] moved to [1, 2.5], [2, 3.5], [1.5, 3.5] and [1, 4.5]
+    @pytest.mark.parametrize("segment, message", [
+        ((2, 5), "edge sets differ"),
+        ((4, 7), "edge sets differ"),
+        ((3, 7), "family invalid: condition ii violated by ('I1', 0): "
+                 "left endpoint 1.5 not an integer"),
+        ((2, 9), "family invalid: condition iv violated by ('I1', 'I2', 4): "
+                 "5 in I2 but not in I1")])
+    def test_moved_interval_endpoint(self, cl_example, segment, message):
+        cert = rec.recognize_cl(cl_example)
+        fam = cert.components[0].family
+        moved = iv.CLFamily(fam.ell, (iv.IntervalUnion.of(segment), *fam.I[1:]))
+        mutant = self._mutant(cert, 0, family=moved)
+        assert (rec.validate_cl_certificate(cl_example, mutant)
+                == f"component 0: {message}")
+
+    def test_image_outside_the_component(self, cl_example):
+        g = gr.disjoint_union(cl_example, gr.complete_graph(2))
+        cert = rec.recognize_cl(g)
+        bijection = dict(cert.components[1].bijection)
+        assert bijection == {"J0": 11, "J1": 12}
+        bijection["J1"] = 0
+        mutant = self._mutant(cert, 1, bijection=bijection)
+        assert (rec.validate_cl_certificate(g, mutant)
+                == "component 1: bijection is not onto the component")
+
+    def test_mask_checks_match_the_pair_set_reference(self):
+        # every CL class with n <= 7, each with its bijection entries
+        # swapped in neighbouring key pairs and each edge dropped in turn
+        verdicts = {}
+        for n in range(8):
+            for g in gr.enumerate_graphs(n):
+                cert = rec.recognize_cl(g)
+                if not isinstance(cert, rec.CLCertificate):
+                    continue
+                mutants = [(g, cert)]
+                for index, part in enumerate(cert.components):
+                    names = sorted(part.bijection)
+                    for a, b in zip(names, names[1:]):
+                        bijection = dict(part.bijection)
+                        bijection[a], bijection[b] = bijection[b], bijection[a]
+                        mutants.append((g, self._mutant(cert, index,
+                                                        bijection=bijection)))
+                edges = g.edges()
+                for e in edges:
+                    h = gr.Graph.from_edges(g.n, [f for f in edges if f != e])
+                    mutants.append((h, cert))
+                for h, c in mutants:
+                    verdict = rec.validate_cl_certificate(h, c)
+                    assert verdict == reference_cl_check(h, c), (h, c)
+                    key = verdict and re.sub(r"\d+", "#", verdict)
+                    verdicts[key] = verdicts.get(key, 0) + 1
+        assert verdicts == {
+            None: 327, "component #: edge sets differ": 2195,
+            "certificate has # components, graph has #": 186}
 
 
 class TestRecognizeSIG:
