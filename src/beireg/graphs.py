@@ -479,11 +479,22 @@ def canonical_form(g):
 
 
 def _canonical_code(nb):
-    """canonical_form of the graph given by its neighbour masks, ungated."""
+    """canonical_form of the graph given by its neighbour masks, ungated.
+
+    Row 0 of a vertex of degree d is n - 1 - d zeros and then d ones, so
+    the least row 0 is that of a vertex of least degree.  The search
+    starts at k = 1 with those vertices placed, each with the partition
+    (its non-neighbours, its neighbours).  Fewer than 2 vertices have no
+    row."""
     n = len(nb)
-    code = 0
-    frontier = {((1 << n) - 1,)}
-    for k in range(n - 1):
+    if n < 2:
+        return bytes([n])
+    full = (1 << n) - 1
+    least = min(map(int.bit_count, nb))
+    code = (1 << least) - 1
+    frontier = {tuple(cell for cell in (full & ~adj & ~(1 << v), adj) if cell)
+                for v, adj in enumerate(nb) if adj.bit_count() == least}
+    for k in range(1, n - 1):
         best, survivors = None, set()
         for head, *tail in frontier:
             rest = head
@@ -531,7 +542,17 @@ def enumerate_graphs(n, connected_only=False):
     vertex joined to the image of N(u), is isomorphic to G' and is met
     earlier.  So the first candidate of every class is kept, and the
     representatives and their order are those of the unfiltered loop (the
-    tests keep it as the reference)."""
+    tests keep it as the reference).
+
+    A candidate that joins the new vertex to w but not to u, for twins
+    u < w of h (base[u] and base[w] agree off {u, w}), is skipped too, an
+    isomorph rejection in the sense of McKay ("Isomorph-free exhaustive
+    generation", J. Algorithms 1998).  The swap (u w) is an automorphism
+    of h, so the candidate is isomorphic to the one whose mask has u in
+    place of w.  That mask is smaller, so it comes earlier in the same
+    loop, and u and w have the same degree in h, so it passes the same
+    degree filter.  So the skipped candidate is not the first met in its
+    class either, and the first of each class is still kept."""
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"enumerate_graphs is limited to n <= {ENUMERATION_MAX_N}")
     if n < 0:
@@ -547,10 +568,17 @@ def enumerate_graphs(n, connected_only=False):
             # at_least[d]: the vertices of h of degree d or more
             at_least = [sum(1 << u for u, m in enumerate(base)
                             if m.bit_count() >= d) for d in range(k + 1)]
+            # (u and w, w) for the twins u < w of h
+            twins = [(1 << u | 1 << w, 1 << w)
+                     for w, mw in enumerate(base) for u in range(w)
+                     if base[u] & ~(1 << w) == mw & ~(1 << u)]
             for mask in range(top):
                 # skip when deg_h(u) + [u joined] > |mask| for some u
                 size = mask.bit_count()
                 if at_least[size] & mask or at_least[size + 1] & ~mask:
+                    continue
+                # skip when w is joined and its twin u < w is not
+                if any(mask & pair == high for pair, high in twins):
                     continue
                 nb = tuple(m | top if mask >> u & 1 else m
                            for u, m in enumerate(base)) + (mask,)

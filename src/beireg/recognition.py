@@ -121,7 +121,7 @@ def validate_cl_certificate(g, cert) -> str | None:
         position = {v: p for p, v in enumerate(old_ids)}
         at = [position[v] for v in images]
         carried = [0] * sub.n
-        for p, m in enumerate(iv.intersection_graph(fam)[0].neighbor_masks()):
+        for p, m in enumerate(iv._meet_masks((*fam.j_unions(), *fam.I))):
             carried[at[p]] = sum(1 << at[q] for q in gr.bits(m))
         nb = sub.neighbor_masks()
         if tuple(carried) != nb:

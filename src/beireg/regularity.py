@@ -111,7 +111,13 @@ def _relabelled(sub):
                             for v in order])
 
 
-@lru_cache(maxsize=16)
+# A sweep meets the connected classes on fewer vertices again, as
+# components of larger graphs.  At the enumeration gate, n <= 7, it builds
+# one ideal per connected class on 2..7 vertices, 995, so 1024 keeps all.
+_INITIAL_IDEAL_CACHE = 1024
+
+
+@lru_cache(maxsize=_INITIAL_IDEAL_CACHE)
 def _initial_ideal(sub):
     """Squarefree initial ideal of the binomial edge ideal of sub, relabelled
     in reverse Cuthill-McKee order: the lead masks of its closed-form lex
@@ -123,11 +129,13 @@ def _initial_ideal(sub):
     lies outside [i, j] (Herzog et al. 2010), and a bandwidth-reducing
     order makes most induced paths monotone, so not admissible.
 
-    The few most recent labelled graphs are cached, under sub.
-    Verification's squarefree check reads from here the ideal the oracle
-    has just built for the same component, when the oracle built one, and
-    builds it again when the oracle memo answered for a component it met
-    before."""
+    The most recent _INITIAL_IDEAL_CACHE labelled graphs are cached, under
+    sub.  Verification's squarefree check reads from here the ideal the
+    oracle built for the same labelled component, so a sweep up to the
+    enumeration gate builds and certifies one basis per connected class:
+    a component met again arrives with the labels of its first visit, when
+    the oracle memo answered for it and built nothing.  The bound keeps a
+    long-lived process from holding every ideal it was ever asked for."""
     sub = _relabelled(sub)
     return initial_ideal(lex_groebner(sub), 2 * sub.n)
 

@@ -119,8 +119,9 @@ def check_one(g, oracle=None):
         results["wl-characterization"] = True
         results["wl-roundtrip"] = True
 
-    # recognize_sig(g), reusing cl; a rejected certificate makes no SIG
-    sig_ok = cl is not None and gr.is_chordal(g) and rec._sig_from_cl(cl).is_sig
+    # recognize_sig(g), reusing cl; a graph without a CL certificate is no
+    # SIG, so only a CL graph is tested for chordality
+    sig_ok = cl_ok and gr.is_chordal(g) and rec._sig_from_cl(cl).is_sig
     results["sig-implies-cl"] = (not sig_ok) or cl_ok
 
     report = rg.structural_reg(g)

@@ -528,12 +528,13 @@ class TestEnumeration:
         finally:
             gr._ENUM_CACHE.pop(8, None)
 
-    def test_cold_seven_vertices_code_3132_candidates(self, monkeypatch):
-        # helpers.unfiltered_enumeration codes 11291
+    def test_cold_seven_vertices_code_2089_candidates(self, monkeypatch):
+        # helpers.unfiltered_enumeration codes 11291; the degree filter
+        # alone left 3132, and the twin-swap skip drops 1043 more
         monkeypatch.setattr(gr, "_ENUM_CACHE", {})
         calls = spy_codes(monkeypatch)
         gr.enumerate_graphs(7)
-        assert len(calls) == 3132
+        assert len(calls) == 2089
 
     def test_seven_vertices_match_graph_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -578,6 +579,20 @@ class TestCodeCache:
         assert len(solved) == 142 == sum(
             len(gr.enumerate_graphs(n, connected_only=True))
             for n in range(2, 7))
+
+    def test_verify_builds_one_basis_per_connected_class(self, monkeypatch):
+        # the squarefree check reads the ideal the oracle built for the
+        # same labelled component, so no basis is built twice
+        monkeypatch.setattr(gr, "_ENUM_CACHE", {})
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        rg._initial_ideal.cache_clear()
+        built = []
+        real = rg.lex_groebner
+        monkeypatch.setattr(rg, "lex_groebner",
+                            lambda g: built.append(g) or real(g))
+        assert vf.run_verification(max_n=6).all_passed
+        assert len(built) == 142
+        assert len({gr.canonical_form(g) for g in built}) == 142
 
 
 class TestKernelMemo:

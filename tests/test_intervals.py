@@ -137,6 +137,30 @@ class TestValidateCLFamily:
                                     iv.IntervalUnion.of((2, 6))))
         assert iv.validate_cl_family(fam).condition == "i"
 
+    @pytest.mark.parametrize("js, message", [
+        ((iv.IntervalUnion.of((0, 0)), iv.IntervalUnion.of((0, 2))),
+         "condition i violated by ('J',): expected 3 path unions, got 2"),
+        ((iv.IntervalUnion.of((0, 0)), iv.IntervalUnion.of((0, 3)),
+          iv.IntervalUnion.of((2, 4))),
+         "condition i violated by ('J1',): J1 must be [0, 1]"),
+        ((iv.IntervalUnion.of((0, 1)), iv.IntervalUnion.of((0, 2)),
+          iv.IntervalUnion.of((2, 4))),
+         "condition i violated by ('J0',): J0 must be [0, 0]"),
+    ], ids=["count", "J1", "J0"])
+    def test_explicit_bad_j_message(self, js, message):
+        assert str(iv.validate_cl_family(iv.CLFamily(2, (), J=js))) == message
+
+    def test_derived_j_never_violates_condition_i(self):
+        # the validator skips condition i for derived path unions; spelling
+        # them out explicitly gives the same verdict
+        rng = random.Random(337)
+        for _ in range(500):
+            fam = random_family(rng)
+            violation = iv.validate_cl_family(fam)
+            assert violation is None or violation.condition != "i"
+            explicit = iv.CLFamily(fam.ell, fam.I, J=fam.j_unions())
+            assert iv.validate_cl_family(explicit) == violation
+
     def test_clique_check_matches_brute_force(self):
         rng = random.Random(17)
         for _ in range(200):
