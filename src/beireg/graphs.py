@@ -452,7 +452,7 @@ def is_chordal(g):
 # canonical forms and small-graph enumeration
 
 CANONICAL_MAX_N = 8
-ENUMERATION_MAX_N = 7
+ENUMERATION_MAX_N = 8
 
 
 def canonical_form(g):
@@ -528,7 +528,7 @@ _ENUM_CACHE: dict[int, list[Graph]] = {}
 
 def enumerate_graphs(n, connected_only=False):
     """One representative Graph per isomorphism class on n vertices, in a
-    deterministic order (edge count, then canonical form).  Gated at n <= 7.
+    deterministic order (edge count, then canonical form).  Gated at n <= 8.
 
     The graphs on k vertices are the graphs h on k - 1 vertices, from the
     list for k - 1, with a new vertex joined to a subset of h's vertices;

@@ -97,16 +97,15 @@ The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
 vertex v, pairs[v] that of the generators {v, w}, and one more bitset
 marks the singleton generators.  The generators inside W are all of them
-with through[v] cleared for every v outside W, read for vertices 0-23
-from three tables that hold the union of through[v] over each byte of
-vertices, each sized to the vertices the ideal has in its byte, so the
-rings of 18 and 20 variables are covered; a set reaching past vertex 23
-takes a loop over its vertices instead.  The union of a generator bitset
-is read the same way, from one table per 8 generator indices.  The
-domination test for v ORs, over the generators g through v, a bitset kept
-per (g, v): the generators through every vertex of g but v.  That settles
-every candidate u at once.  A join factor grows by flood fill over these
-bitsets.
+with through[v] cleared for every v outside W, read from three tables
+that hold the union of through[v] over each byte of vertices, each sized
+to the vertices the ideal has in its byte; hochster_regularity admits at
+most 20 variables, so the three bytes hold every vertex.  The union of a
+generator bitset is read the same way, from one table per 8 generator
+indices.  The domination test for v ORs, over the generators g through v,
+a bitset kept per (g, v): the generators through every vertex of g but v.
+That settles every candidate u at once.  A join factor grows by flood fill
+over these bitsets.
 
 Homology is computed over GF(2) first.  A boundary column is an int
 bitset over the row indices, and elimination XORs columns on their top
@@ -294,7 +293,7 @@ class _RestrictedSweep:
         # for vertices 0-7, 8-15 and 16-23, sized to the vertices there are
         # (a stand-in [0] for a byte with none), and the union of the
         # generators over the set bits of each byte of generator indices
-        tables = _byte_unions(self.through[:24])
+        tables = _byte_unions(self.through)
         self._byte_through = tuple(tables + [[0]] * (3 - len(tables)))
         self._byte_gens = _byte_unions(gens)
         # _covers[v]: for each generator g through v, (its bit, g, the
@@ -327,15 +326,8 @@ class _RestrictedSweep:
         low_byte, high_byte, top_byte = self._byte_through
         if verts < 0x10000:
             return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8])
-        if verts < 0x1000000:
-            return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8 & 0xFF]
-                               | top_byte[verts >> 16])
-        through = self.through
-        while verts:
-            low = verts & -verts
-            verts ^= low
-            gen_set &= ~through[low.bit_length() - 1]
-        return gen_set
+        return gen_set & ~(low_byte[verts & 0xFF] | high_byte[verts >> 8 & 0xFF]
+                           | top_byte[verts >> 16])
 
     def _gen_components(self, sigma, internal):
         """Join factors of the restriction to sigma, whose generators are

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import graphs as gr
 from .groebner import GROEBNER_MAX_VARIABLES, initial_ideal, lex_groebner
@@ -45,7 +44,8 @@ def oracle_gate_from_env():
     raw = os.environ.get(ORACLE_MAX_N_ENV)
     if raw is None:
         return ORACLE_MAX_N_DEFAULT
-    if not raw.strip().isdecimal():
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdecimal()):
         raise OracleGateError(
             f"{ORACLE_MAX_N_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw)
@@ -111,13 +111,6 @@ def _relabelled(sub):
                             for v in order])
 
 
-# A sweep meets the connected classes on fewer vertices again, as
-# components of larger graphs.  At the enumeration gate, n <= 7, it builds
-# one ideal per connected class on 2..7 vertices, 995, so 1024 keeps all.
-_INITIAL_IDEAL_CACHE = 1024
-
-
-@lru_cache(maxsize=_INITIAL_IDEAL_CACHE)
 def _initial_ideal(sub):
     """Squarefree initial ideal of the binomial edge ideal of sub, relabelled
     in reverse Cuthill-McKee order: the lead masks of its closed-form lex
@@ -127,15 +120,7 @@ def _initial_ideal(sub):
     J_G to J_{sigma G}, so the regularity does not change; the basis does.
     It has one element per admissible path, an induced path whose interior
     lies outside [i, j] (Herzog et al. 2010), and a bandwidth-reducing
-    order makes most induced paths monotone, so not admissible.
-
-    The most recent _INITIAL_IDEAL_CACHE labelled graphs are cached, under
-    sub.  Verification's squarefree check reads from here the ideal the
-    oracle built for the same labelled component, so a sweep up to the
-    enumeration gate builds and certifies one basis per connected class:
-    a component met again arrives with the labels of its first visit, when
-    the oracle memo answered for it and built nothing.  The bound keeps a
-    long-lived process from holding every ideal it was ever asked for."""
+    order makes most induced paths monotone, so not admissible."""
     sub = _relabelled(sub)
     return initial_ideal(lex_groebner(sub), 2 * sub.n)
 
@@ -148,7 +133,12 @@ def _oracle_connected(sub):
     The key names the labelled graph, not its isomorphism class.  A
     canonical key would cost an exponential search per call and hit no
     more often on the verification sweep, which meets every repeated
-    component with the labels of its first visit."""
+    component with the labels of its first visit.
+
+    A key is stored only after _initial_ideal(sub) has returned, and
+    lex_groebner certifies every basis it returns.  The relabelling reads
+    only the masks, so a key in the memo names a labelled component whose
+    basis has passed its certificate; initial_ideals_of relies on that."""
     key = sub.neighbor_masks()
     if key in _oracle_memo:
         return _oracle_memo[key]
@@ -175,9 +165,11 @@ def oracle_reg(g, max_n=None):
 
 
 def initial_ideals_of(g):
-    """Per-component squarefree initial ideals (verification hook)."""
-    return [_initial_ideal(sub)
-            for sub, _ in gr.component_graphs(g) if sub.n >= 2]
+    """Per-component squarefree initial ideals, built and certified for the
+    components of g with two or more vertices whose masks the oracle memo
+    lacks (verification hook); _oracle_connected says why the rest pass."""
+    return [_initial_ideal(sub) for sub, _ in gr.component_graphs(g)
+            if sub.n >= 2 and sub.neighbor_masks() not in _oracle_memo]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Checks per class:
   structural          the structural solver's exact value or interval
                       contains the oracle value
   squarefree          each component's closed-form basis passes its
-                      certificate, on the relabelling the oracle sweeps
+                      certificate, on the relabelling the oracle sweeps;
+                      a component in the oracle memo has passed, so only
+                      the others are built
 
 A witness its validator rejects fails both of its recognizer's checks.  A
 class counts as a counterexample for a check the moment the check's

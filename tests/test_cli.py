@@ -14,6 +14,7 @@ from beireg import graphs as gr
 from beireg import recognition as rec
 from beireg import regularity as rg
 from beireg import verification as vf
+from beireg.groebner import NonBinomialError
 
 
 def run(capsys, *argv):
@@ -280,7 +281,7 @@ class TestVerify:
         assert all(c["fail"] == 0 and c["counterexamples"] == []
                    for c in data["checks"].values())
 
-    @pytest.mark.parametrize("max_n", ["0", "-1", "8", "9"])
+    @pytest.mark.parametrize("max_n", ["0", "-1", "9"])
     def test_max_n_out_of_range_is_usage_error(self, capsys, max_n):
         code, out, err = run(capsys, "verify", "--max-n", max_n)
         assert code == 1 and out == ""
@@ -346,16 +347,47 @@ class TestVerify:
         assert report.checks["sig-implies-cl"].failed == 0
 
     def test_check_one_builds_each_basis_once(self, monkeypatch):
-        # the squarefree check reads the ideals the oracle has just built
+        # the squarefree check builds no basis the oracle memo holds, and
+        # the oracle has just solved both components
         built = []
         real = rg.lex_groebner
         monkeypatch.setattr(rg, "lex_groebner",
                             lambda g: built.append(g) or real(g))
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        rg._initial_ideal.cache_clear()
         g = gr.disjoint_union(gr.cycle_graph(4), gr.path_graph(3))
         assert all(vf.check_one(g).values())
         assert len(built) == 2
+
+    def test_check_one_on_a_labelled_copy_builds_no_basis(self, monkeypatch):
+        # the oracle memo keys a component by its masks, not its labels
+        built = []
+        real = rg.lex_groebner
+        monkeypatch.setattr(rg, "lex_groebner",
+                            lambda g: built.append(g) or real(g))
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        g = gr.path_graph(4)
+        assert all(vf.check_one(g).values())
+        assert len(built) == 1
+        copy = gr.Graph.from_edges(4, g.edges(), "abcd")
+        assert all(vf.check_one(copy).values())
+        assert len(built) == 1
+
+    def test_failed_certificate_fails_squarefree(self, monkeypatch):
+        # an injected oracle writes no memo entry, so the squarefree check
+        # builds every basis itself, and a basis failing its certificate
+        # makes the class a counterexample
+        def uncertified(g):
+            raise NonBinomialError("zero-reduction certificate failed")
+
+        monkeypatch.setattr(rg, "_oracle_memo", {})
+        monkeypatch.setattr(rg, "lex_groebner", uncertified)
+        report = vf.run_verification(max_n=3, oracle=lambda g: 0)
+        tally = report.checks["squarefree"]
+        assert (tally.passed, tally.failed) == (3, 4)
+        assert tally.counterexamples == [
+            {"n": g.n, "edges": [list(e) for e in g.edges()]}
+            for n in range(1, 4) for g in gr.enumerate_graphs(n)
+            if g.edge_count()]
 
     def test_worker_pool_matches_serial(self):
         serial = vf.run_verification(max_n=4)
@@ -377,7 +409,7 @@ class TestSearchL2:
 
     def test_gate_error(self, capsys):
         code, _, err = run(capsys, "search-l2", "--r", "2", "--wbar", "4",
-                           "--max-omega", "5")
+                           "--max-omega", "6")
         assert code == 1
         assert "gate" in err
 
@@ -456,7 +488,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [("reg", "C4", "--method", "oracle"),
                                       ("reg", "C4", "--method", "structural"),
                                       ("verify", "--max-n", "2")])
-    @pytest.mark.parametrize("raw", ["x", "-1", "2.5"])
+    @pytest.mark.parametrize("raw", ["x", "-1", "2.5", "٨"])
     def test_malformed_oracle_gate_env(self, capsys, monkeypatch, tmp_path,
                                        argv, raw):
         c4 = tmp_path / "c4.edges"

@@ -94,9 +94,9 @@ PARAMETER_ARGV = st.one_of(
     _ints(-2, 8, 3).map(
         lambda v: ["search-l2", "--r", v[0], "--wbar", v[1],
                    "--max-omega", v[2]]),
-    st.builds(lambda kind, v, verify: ["gen", kind] + v + verify,
+    st.builds(lambda kind, v, compact: ["gen", kind] + v + compact,
               st.sampled_from(["lrc", "lrw"]), _ints(-2, 7, 3),
-              st.sampled_from([[], ["--verify"]])),
+              st.sampled_from([[], ["--compact"]])),
     st.builds(lambda k, connected: ["verify", "--max-n", str(k)] + connected,
               st.integers(-1, 3), st.sampled_from([[], ["--connected-only"]])),
     st.builds(lambda path, method, b, k: ["reg", str(path), "--method", method,

@@ -496,7 +496,7 @@ class TestEnumeration:
 
     def test_gate(self):
         with pytest.raises(ValueError):
-            gr.enumerate_graphs(8)
+            gr.enumerate_graphs(9)
 
     def test_deterministic(self):
         first = [g.edges() for g in gr.enumerate_graphs(4)]
@@ -514,19 +514,34 @@ class TestEnumeration:
         assert [[g.neighbor_masks() for g in gr.enumerate_graphs(n)]
                 for n in range(8)] == unfiltered_enumeration(7)
 
-    def test_eight_vertices_pinned(self, monkeypatch):
+    def test_eight_vertices_pinned(self):
         # OEIS A000088 and A001349; the digest was recorded with the loop
         # that coded every extension
-        monkeypatch.setattr(gr, "ENUMERATION_MAX_N", 8)
-        try:
-            graphs = gr.enumerate_graphs(8)
-            assert len(graphs) == 12346
-            assert len(gr.enumerate_graphs(8, connected_only=True)) == 11117
-            listing = [(g.n, g.edges()) for g in graphs]
-            assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
-                "c6713d5d9a426a57cd1d9ac3c360955d96b05655a487ca93b605a3f10a6e701d")
-        finally:
-            gr._ENUM_CACHE.pop(8, None)
+        graphs = gr.enumerate_graphs(8)
+        assert len(graphs) == 12346
+        assert len(gr.enumerate_graphs(8, connected_only=True)) == 11117
+        listing = [(g.n, g.edges()) for g in graphs]
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
+            "c6713d5d9a426a57cd1d9ac3c360955d96b05655a487ca93b605a3f10a6e701d")
+
+    def test_eight_vertices_match_networkx(self):
+        # a random labelled graph has the code of exactly one
+        # representative, and networkx finds the two isomorphic
+        nx = pytest.importorskip("networkx")
+        by_code = {}
+        for g in gr.enumerate_graphs(8):
+            by_code.setdefault(gr.canonical_form(g), []).append(g)
+        rng = random.Random(89)
+        for _ in range(60):
+            p = rng.random()
+            g = gr.Graph.from_edges(8, [(u, v) for u in range(8)
+                                        for v in range(u + 1, 8)
+                                        if rng.random() < p])
+            (rep,) = by_code[gr.canonical_form(g)]
+            drawn, found = nx.empty_graph(8), nx.empty_graph(8)
+            drawn.add_edges_from(g.edges())
+            found.add_edges_from(rep.edges())
+            assert nx.is_isomorphic(drawn, found)
 
     def test_cold_seven_vertices_code_2089_candidates(self, monkeypatch):
         # helpers.unfiltered_enumeration codes 11291; the degree filter
@@ -568,7 +583,6 @@ class TestCodeCache:
         for n in range(7):
             gr.enumerate_graphs(n)
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        rg._initial_ideal.cache_clear()
         solved = []
         real = rg.hochster_regularity
         monkeypatch.setattr(rg, "hochster_regularity",
@@ -581,11 +595,11 @@ class TestCodeCache:
             for n in range(2, 7))
 
     def test_verify_builds_one_basis_per_connected_class(self, monkeypatch):
-        # the squarefree check reads the ideal the oracle built for the
-        # same labelled component, so no basis is built twice
+        # the squarefree check builds only the components the oracle memo
+        # lacks, and the oracle has just solved each, so no basis is built
+        # twice
         monkeypatch.setattr(gr, "_ENUM_CACHE", {})
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        rg._initial_ideal.cache_clear()
         built = []
         real = rg.lex_groebner
         monkeypatch.setattr(rg, "lex_groebner",
@@ -606,7 +620,6 @@ class TestKernelMemo:
         gr.enumerate_graphs(6)
         monkeypatch.setattr(rg, "_structural_memo", {})
         monkeypatch.setattr(rg, "_oracle_memo", {})
-        rg._initial_ideal.cache_clear()
         gr.induced_path.cache_clear()
         gr.clique_masks.cache_clear()
         assert vf.run_verification(6).all_passed

@@ -160,7 +160,7 @@ class TestSearchL2:
 
     def test_size_gate(self):
         with pytest.raises(ValueError):
-            wt.search_l2(2, 4, 5)
+            wt.search_l2(2, 4, 6)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
