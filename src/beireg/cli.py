@@ -4,6 +4,8 @@ Commands: invariants, recognize {cl|wl|sig}, gen {lrc|lrw}, reg, verify,
 search-l2.  All output is JSON (pretty by default, --compact for one-line).
 Exit codes: 0 success or recognized, 1 usage or parse error, 2 principled
 negative (not recognized / impossible request / failed verification).
+A command imports recognition, witnesses or verification only when it runs
+them, so that invariants and reg load none of the three.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ import sys
 
 from . import formats as fm
 from . import graphs as gr
-from . import recognition as rec
 from . import regularity as rg
-from . import verification as vf
-from . import witnesses as wt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +49,8 @@ def cmd_invariants(args):
 
 
 def cmd_recognize(args):
+    from . import recognition as rec
+
     g = _load(args)
     if args.kind == "cl":
         result = rec.recognize_cl(g)
@@ -85,11 +86,15 @@ def cmd_recognize(args):
 
 
 def cmd_gen(args):
+    from . import witnesses as wt
+
     try:
         if args.kind == "lrc":
             g = wt.gen_lrc(args.ell, args.r, args.bound)
         else:
             g = wt.gen_lrw(args.ell, args.r, args.bound)
+    except fm.ParseError:
+        raise  # a witness past the vertex limit: an error, not a refusal
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -112,6 +117,8 @@ def cmd_reg(args):
 
 
 def cmd_verify(args):
+    from . import verification as vf
+
     if not 1 <= args.max_n <= gr.ENUMERATION_MAX_N:
         print(f"error: --max-n must be between 1 and {gr.ENUMERATION_MAX_N}",
               file=sys.stderr)
@@ -133,6 +140,8 @@ def cmd_verify(args):
 
 
 def cmd_search_l2(args):
+    from . import witnesses as wt
+
     try:
         hits = wt.search_l2(args.r, args.wbar, args.max_omega)
     except ValueError as exc:

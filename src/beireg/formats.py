@@ -18,9 +18,6 @@ import json
 import re
 
 from . import graphs as gr
-from . import intervals as iv
-from . import recognition as rec
-from .regularity import RegularityReport
 
 
 class ParseError(ValueError):
@@ -31,7 +28,8 @@ class ParseError(ValueError):
 # graphs
 
 # above the 2003 vertices of the largest generated witness, gen lrc 400 800
-# 1600, so that its edge list reads back
+# 1600, so that its edge list reads back; the generators refuse a witness
+# past it
 MAX_VERTICES = 4096
 
 _COUNT = re.compile(r"[0-9]+")
@@ -159,18 +157,21 @@ def load_graph(path, fmt=None):
 # ---------------------------------------------------------------------------
 # families and certificates
 
-def family_to_jsonable(f: iv.CLFamily):
+def family_to_jsonable(f):
+    """The JSON form of an intervals.CLFamily."""
     return {"ell": f.ell, "I": [[list(seg) for seg in u.segments] for u in f.I]}
 
 
-def cl_certificate_to_jsonable(cert: rec.CLCertificate):
+def cl_certificate_to_jsonable(cert):
+    """The JSON form of a recognition.CLCertificate."""
     return {"components": [
         {"family": family_to_jsonable(part.family),
          "bijection": dict(sorted(part.bijection.items()))}
         for part in cert.components]}
 
 
-def wl_to_jsonable(d: rec.WLDecomposition):
+def wl_to_jsonable(d):
+    """The JSON form of a recognition.WLDecomposition."""
     return {"path": list(d.path),
             "clique": sorted(d.clique),
             "t": d.t,
@@ -180,7 +181,8 @@ def wl_to_jsonable(d: rec.WLDecomposition):
 # ---------------------------------------------------------------------------
 # reports
 
-def report_to_jsonable(r: RegularityReport):
+def report_to_jsonable(r):
+    """The JSON form of a regularity.RegularityReport."""
     value = {"exact": r.lo} if r.exact else {"interval": [r.lo, r.hi]}
     out = {"value": value,
            "trace": [{"rule": rule, "detail": detail} for rule, detail in r.trace],

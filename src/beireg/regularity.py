@@ -45,10 +45,13 @@ def oracle_gate_from_env():
     if raw is None:
         return ORACLE_MAX_N_DEFAULT
     digits = raw.strip()
-    if not (digits.isascii() and digits.isdecimal()):
-        raise OracleGateError(
-            f"{ORACLE_MAX_N_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    if digits.isascii() and digits.isdecimal():
+        try:
+            return int(digits)
+        except ValueError:  # past the digit limit of int()
+            pass
+    raise OracleGateError(
+        f"{ORACLE_MAX_N_ENV} must be a non-negative integer, got {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,29 @@ filters the isomorphism classes of graphs.enumerate_graphs by clique
 number, induced path length and oracle regularity.
 
 Every generated graph is checked against its own postconditions before it
-is returned; a failure is a bug, not an input condition.
+is returned; a failure is a bug, not an input condition.  A witness with
+more than formats.MAX_VERTICES vertices, which the parsers would not read
+back, is refused with their ParseError before anything is built.
 """
 
 from __future__ import annotations
 
 from . import graphs as gr
 from . import regularity as rg
+from .formats import MAX_VERTICES, ParseError
 
 
 def _check(condition, message):
     if not condition:
         raise RuntimeError(f"witness postcondition failed: {message}")
+
+
+def _check_order(n):
+    """Refuse a witness of n vertices past the limit; its labels alone
+    could exhaust memory."""
+    if n > MAX_VERTICES:
+        raise ParseError(f"the witness would have {n} vertices, above the "
+                         f"limit of {MAX_VERTICES}")
 
 
 def gen_lrc(ell, r, c):
@@ -43,6 +54,7 @@ def gen_lrc(ell, r, c):
 
     if ell == 1:
         # an edge plus c-1 isolated vertices
+        _check_order(1 + c)
         labels = ["k1", "k2"] + [f"w{j}" for j in range(1, c)]
         g = gr.Graph.from_edges(1 + c, [(0, 1)], labels)
         _check(gr.ell(g) == 1, "ell")
@@ -54,6 +66,7 @@ def gen_lrc(ell, r, c):
     triangles = r if ell == 2 else r - ell + 2
     pendants = c - r
     tail = 0 if ell == 2 else ell - 2
+    _check_order(1 + 2 * triangles + pendants + tail)
 
     labels = ["v"]
     edges = []
@@ -100,6 +113,7 @@ def gen_lrw(ell, r, wbar):
     path_len = ell + 1
     u_size = v_size = wbar - r
     q_size = r - ell
+    _check_order(path_len + u_size + v_size + 2 * q_size)
 
     labels = [str(i) for i in range(1, path_len + 1)]
     edges = {(i, i + 1) for i in range(path_len - 1)}

@@ -151,6 +151,15 @@ class TestGen:
         assert code == 2
         assert "open question" in err
 
+    @pytest.mark.parametrize("argv", [("lrc", "1", "1", str(10**20)),
+                                      ("lrc", "2", "5", "1000000"),
+                                      ("lrw", "3", "3", str(10**20))])
+    def test_witness_past_the_vertex_limit_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "above the limit" in err
+
 
 class TestReg:
     def test_complete(self, capsys, tmp_path):
@@ -488,7 +497,8 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [("reg", "C4", "--method", "oracle"),
                                       ("reg", "C4", "--method", "structural"),
                                       ("verify", "--max-n", "2")])
-    @pytest.mark.parametrize("raw", ["x", "-1", "2.5", "٨"])
+    @pytest.mark.parametrize("raw", ["x", "-1", "2.5", "٨", pytest.param(
+        "9" * 5000, id="past-the-digit-limit-of-int")])
     def test_malformed_oracle_gate_env(self, capsys, monkeypatch, tmp_path,
                                        argv, raw):
         c4 = tmp_path / "c4.edges"

@@ -3,11 +3,12 @@ graph commands exit 0, 1 or 2, raise nothing, and write at most one line
 to stderr; so do gen, verify, search-l2 and reg on the fixtures, whatever
 their integer arguments and flags.
 
-Generated vertex counts are either at most 7 or past formats.MAX_VERTICES,
-up to 10^30: the parsers refuse a count past the limit before allocating
-anything for it.  A raw byte string holds at most one decimal digit, since
-a count of a few hundred or thousand vertices is a valid graph whose
-answers take seconds, not a test of the contract.
+Generated vertex counts, and gen's last argument, are either at most 7 or
+past formats.MAX_VERTICES, up to 10^30: the parsers and the generators
+refuse a graph past the limit before allocating anything for it.  A raw
+byte string holds at most one decimal digit, since a count of a few
+hundred or thousand vertices is a valid graph whose answers take seconds,
+not a test of the contract.
 """
 
 import contextlib
@@ -23,6 +24,9 @@ from conftest import FIXTURES
 
 SMALL_INT = st.integers(-2, 8)
 COUNT = st.one_of(st.integers(0, 7), st.integers(MAX_VERTICES + 1, 10**30))
+# gen's clique count or n - omega + 1, which bounds its vertex count below
+GEN_BOUND = st.one_of(st.integers(-2, 7),
+                      st.integers(MAX_VERTICES + 1, 10**30))
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.floats(-2, 8), st.lists(SMALL_INT, max_size=3))
 
@@ -94,8 +98,9 @@ PARAMETER_ARGV = st.one_of(
     _ints(-2, 8, 3).map(
         lambda v: ["search-l2", "--r", v[0], "--wbar", v[1],
                    "--max-omega", v[2]]),
-    st.builds(lambda kind, v, compact: ["gen", kind] + v + compact,
-              st.sampled_from(["lrc", "lrw"]), _ints(-2, 7, 3),
+    st.builds(lambda kind, v, bound, compact: ["gen", kind] + v + [str(bound)]
+              + compact,
+              st.sampled_from(["lrc", "lrw"]), _ints(-2, 7, 2), GEN_BOUND,
               st.sampled_from([[], ["--compact"]])),
     st.builds(lambda k, connected: ["verify", "--max-n", str(k)] + connected,
               st.integers(-1, 3), st.sampled_from([[], ["--connected-only"]])),

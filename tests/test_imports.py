@@ -1,0 +1,102 @@
+"""The import boundary: `import beireg` loads graphs and regularity (with
+the oracle's groebner and hochster), the other modules load on first use,
+and each CLI command loads only the modules it runs.
+
+The module sets are read in fresh interpreters, since this process has
+imported every module already.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import beireg
+from conftest import FIXTURES
+
+SRC = Path(beireg.__file__).resolve().parents[1]
+
+EAGER = {"beireg", "beireg.graphs", "beireg.regularity", "beireg.groebner",
+         "beireg.hochster"}
+
+PUBLIC = [
+    "Graph",
+    "IntervalUnion", "CLFamily",
+    "CLCertificate", "NotCLReason", "WLDecomposition", "NotWLReason",
+    "recognize_cl", "recognize_sig", "recognize_wl",
+    "validate_cl_certificate", "validate_wl_decomposition",
+    "RegularityReport", "bounds", "reg", "structural_reg", "oracle_reg",
+    "gen_lrc", "gen_lrw", "search_l2",
+]
+
+
+def loaded_after(code):
+    """The beireg modules a fresh interpreter holds after running code."""
+    probe = ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             "if m == 'beireg' or m.startswith('beireg.')))")
+    out = subprocess.run([sys.executable, "-c", code + probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def cli_loads(*argv):
+    """The modules that cli.main(argv) adds to those of `import beireg`."""
+    code = ("import contextlib, io, beireg\n"
+            "from beireg import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main({list(argv)!r})")
+    return loaded_after(code) - EAGER
+
+
+def test_import_loads_graphs_and_regularity_only():
+    assert loaded_after("import beireg") == EAGER
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["invariants", str(FIXTURES / "cl_example.edges")], set()),
+    (["reg", str(FIXTURES / "wl_example.edges")], set()),
+    (["gen", "lrc", "2", "3", "4"], {"beireg.witnesses"}),
+    (["recognize", "cl", str(FIXTURES / "cl_example.edges")],
+     {"beireg.recognition", "beireg.intervals"}),
+])
+def test_cli_command_loads_only_what_it_runs(argv, added):
+    assert cli_loads(*argv) == {"beireg.cli", "beireg.formats"} | added
+
+
+@pytest.mark.parametrize("name, added", [
+    ("recognize_cl", {"beireg.recognition", "beireg.intervals"}),
+    ("gen_lrc", {"beireg.witnesses", "beireg.formats"}),
+    ("witnesses", {"beireg.witnesses", "beireg.formats"}),
+    ("intervals", {"beireg.intervals"}),
+])
+def test_first_use_loads_the_defining_module(name, added):
+    assert loaded_after(f"import beireg\nbeireg.{name}") == EAGER | added
+
+
+def test_all_is_unchanged():
+    assert beireg.__all__ == PUBLIC
+
+
+def test_star_import_binds_the_defining_objects():
+    namespace = {}
+    exec("from beireg import *", namespace)
+    for name in PUBLIC:
+        obj = getattr(beireg, name)
+        assert namespace[name] is obj
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+@pytest.mark.parametrize("name", ["recognition", "intervals", "witnesses"])
+def test_submodules_resolve(name):
+    assert getattr(beireg, name) is importlib.import_module(f"beireg.{name}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        beireg.nonexistent
+    with pytest.raises(ImportError):
+        exec("from beireg import nonexistent", {})

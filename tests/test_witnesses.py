@@ -1,5 +1,6 @@
 import pytest
 
+from beireg import formats as fm
 from beireg import graphs as gr
 from beireg import regularity as rg
 from beireg import witnesses as wt
@@ -134,6 +135,50 @@ class TestGenLrw:
     def test_order_violation(self):
         with pytest.raises(ValueError):
             wt.gen_lrw(4, 3, 5)
+
+
+class TestVertexLimit:
+    LIMIT = fm.MAX_VERTICES
+
+    def test_at_the_limit(self):
+        assert wt.gen_lrc(1, 1, self.LIMIT - 1).n == self.LIMIT
+        path = (self.LIMIT - 1,) * 3  # the path on LIMIT vertices
+        assert wt.gen_lrw(*path).n == self.LIMIT
+
+    @pytest.mark.parametrize("gen, args", [
+        (wt.gen_lrc, (1, 1, LIMIT)),
+        (wt.gen_lrc, (2, 2, LIMIT - 2)),
+        (wt.gen_lrc, (3, 3, LIMIT - 2)),
+        (wt.gen_lrw, (LIMIT, LIMIT, LIMIT)),
+        (wt.gen_lrw, (4, 4, (LIMIT + 4) // 2)),
+        (wt.gen_lrc, (1, 1, 10**20)),
+        (wt.gen_lrc, (2, 5, 10**6)),
+        (wt.gen_lrw, (3, 3, 10**20)),
+    ])
+    def test_past_the_limit_is_refused_before_building(self, gen, args):
+        # one vertex past the limit, then the inputs that ran until killed
+        # or overflowed a range
+        with pytest.raises(fm.ParseError, match="above the limit"):
+            gen(*args)
+
+    def test_limit_counts_the_vertices_built(self, monkeypatch):
+        # the count each generator checks is that of the graph it builds
+        grid = [(wt.gen_lrc, (ell, r, c)) for ell in range(1, 7)
+                for r in range(ell, 7) for c in range(r, 7)
+                if ell > 1 or r == 1]
+        grid += [(wt.gen_lrw, (ell, r, wbar)) for ell in range(3, 7)
+                 for r in range(ell, 7) for wbar in range(r, 7)]
+        for gen, args in grid:
+            n = gen(*args).n
+            monkeypatch.setattr(wt, "MAX_VERTICES", n)
+            assert gen(*args).n == n
+            monkeypatch.setattr(wt, "MAX_VERTICES", n - 1)
+            with pytest.raises(fm.ParseError):
+                gen(*args)
+            monkeypatch.undo()
+
+    def test_largest_grid_witness_is_built(self):
+        assert wt.gen_lrc(400, 800, 1600).n == 2003
 
 
 class TestSearchL2:
