@@ -24,14 +24,20 @@ certificate packs each mask into a fixed-width field per variable,
 variable 0 most significant: int order is then the lex order, multiplying
 and dividing monomials is adding and subtracting ints, and a divisibility
 test is one subtraction checked at a guard bit per field.  The width comes
-from a degree bound (no exponent of an S-polynomial or its reductions
-exceeds 2n <= 20), not from a setting.  Reducers are found through an
-index on the first variable of each lead.
+from a degree bound, not from a setting: an S-polynomial and its
+reductions have the degree of the lcm of two squarefree leads, at most
+nvars (the 2n variables, so nvars <= 20 under the gate), so no exponent
+exceeds nvars.  Since nvars < 2 ** nvars.bit_length(), a field of
+nvars.bit_length() bits holds every exponent, and one guard bit above it
+makes the width nvars.bit_length() + 1 (at most 6).  Masks are packed
+through one byte table per 8 variables, built once per nvars.  Reducers are
+found through an index on the first variable of each lead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 GROEBNER_MAX_VARIABLES = 20
@@ -39,6 +45,24 @@ GROEBNER_MAX_VARIABLES = 20
 
 class NonBinomialError(RuntimeError):
     """Internal: the basis failed its zero-reduction certificate."""
+
+
+@cache
+def _pack_tables(nvars):
+    """One table per 8 variables, built by doubling: entry b of table j
+    is the packed mask of the variables 8 j + i for the set bits i of b,
+    variable k a 1 at the foot of field nvars - 1 - k, of the width
+    _certify uses.  Cached per nvars: the oracle uses at most ten, the even
+    counts up to the gate."""
+    width = nvars.bit_length() + 1
+    tables = []
+    for start in range(0, nvars, 8):
+        table = [0]
+        for k in range(start, min(start + 8, nvars)):
+            place = 1 << (nvars - 1 - k) * width
+            table += [packed | place for packed in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _certify(basis, nvars):
@@ -66,14 +90,13 @@ def _certify(basis, nvars):
     if not basis:
         return
     width = nvars.bit_length() + 1
-    place = [1 << (nvars - 1 - k) * width for k in range(nvars)]
+    tables = _pack_tables(nvars)
 
     def pack(mask):
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= place[low.bit_length() - 1]
-            mask ^= low
+        for table in tables:
+            out |= table[mask & 0xFF]
+            mask >>= 8
         return out
 
     guard = pack((1 << nvars) - 1) << width - 1

@@ -16,9 +16,10 @@ Six exact rules apply, in this order:
     so every restriction through it is acyclic, and it is dropped;
   * one generator: W is then that generator, Delta_W is the boundary of
     the simplex on W, and R(W) = |W| - 1;
-  * dominated pair: if v is dominated by u in Delta_W (every face through
-    v extends by u), then R(W) = max(R(W - v), R(W - u)), and R(W - v)
-    alone when u is also dominated by v;
+  * dominated vertex: if v is dominated in Delta_W by each vertex u of a
+    set D (every face through v extends by u), then R(W) = max(R(W - v),
+    R(W - D)), and R(W - v) alone when v dominates some u of D back,
+    which is then taken as D = {u};
   * join: if the generators inside W fall into several classes linked by
     shared vertices, every Delta_tau is the join of its restrictions to
     the classes' vertex groups, jj adds over a join (Kuenneth formula),
@@ -26,16 +27,17 @@ Six exact rules apply, in this order:
   * core: otherwise R(W) = max(jj(W), the largest R(W - x) over x in W),
     and jj(W) comes from homology.
 
-The dominated-pair rule is exact.  Take a face F through v of Delta_tau,
-with u, v in tau and tau inside W.  F is a face of Delta_W, so F + u is a
-face of Delta_W, and it lies in tau.  Hence v stays dominated by u in every
-such Delta_tau, a strong collapse (Barmak & Minian, DCG 2012) keeps its
-homotopy type without v, and tau has the answer of tau - v.  A tau that
-misses v lies in W - v, and one that misses u in W - u.  When u is also
-dominated by v, the swap (u v) takes a face F through v but not u into
-F + u, and one through u but not v into F + v, so it is a simplicial
-automorphism of Delta_W.  It maps each Delta_tau onto Delta_{swap tau},
-and R(W - v) = R(W - u).
+The dominated-vertex rule is exact.  Take u in D and tau inside W with
+u, v in tau.  A face F through v of Delta_tau is a face of Delta_W, so
+F + u is a face of Delta_W, and it lies in tau.  Hence v stays dominated
+by u in Delta_tau, a strong collapse (Barmak & Minian, DCG 2012) keeps
+its homotopy type without v, and jj(tau) = jj(tau - v) <= R(W - v).  A
+tau that misses v lies in W - v, so every tau with jj(tau) > R(W - v)
+holds v and misses D, and lies in W - D.  When v also dominates u, the
+swap (u v) takes a face F through v but not u into F + u, and one
+through u but not v into F + v, so it is a simplicial automorphism of
+Delta_W.  It maps each Delta_tau onto Delta_{swap tau}, R(W - v) =
+R(W - u), and the rule with D = {u} gives R(W) = R(W - v).
 
 With two or more generators inside W the recursion prunes by the bound
 R(W) <= |W| - 2.  Homology in degree h of Delta_tau needs h <= |tau| - 2,
@@ -43,28 +45,22 @@ and at h = |tau| - 2 the cycle is the boundary of the simplex on tau, so
 every proper subset of tau is a face and tau is a generator.  Such a tau
 is a proper subset of W, since no other generator lies inside a generator,
 so jj(tau) = |tau| - 1 <= |W| - 2, and every other tau has jj(tau) <=
-|tau| - 2.  The same fact caps a core's homology at h <= |W| - 3.  With
-p pairwise disjoint generators inside W, R(W) <= |W| - p: every face of
-Delta_W misses a vertex of each, p distinct vertices, and jj(tau) is at
-most the size of a face of Delta_tau, a face of Delta_W.  p is counted by
-a greedy pick in generator index order, which stops once it prunes.
-Past the singles rule each generator has two vertices or more, so
-p <= |W| // 2, and the greedy is skipped where that cannot prune.
+|tau| - 2.  The same fact caps a core's homology at h <= |W| - 3.
 
 _solve(W, t) returns R(W) exactly when R(W) > t, and otherwise an upper
-bound on it that is at most t; a set that either bound puts at or below
-t returns that bound at once.  One memo holds the exact values and one
-the upper bounds.  The second set of a dominated pair, each further set
-of a core and the core's own jj(W) get the running best as their
+bound on it that is at most t; a set that a bound puts at or below t
+returns that bound at once.  One memo holds the exact values, and no
+upper bound is kept.  The second set of a dominated vertex, each further
+set of a core and the core's own jj(W) get the running best as their
 threshold, and a join factor gets t minus the other factors' current
 bounds.
 
 A vertex set A, the anchor, rides along with t: every subset of W that
 misses a vertex of A has jj at most t.  So every tau with jj(tau) > t
-contains A, and the memos stay keyed by W.  Three exact rules use it.
-The set W - u of a dominated pair gets A + v, since a subset of W - u
+contains A, and the memo stays keyed by W.  Three exact rules use it.
+The set W - D of a dominated vertex gets A + v, since a subset of W - D
 that misses v lies in W - v, which the first branch has bounded by the
-threshold of W - u; likewise each set W - x of a core gets A and the x
+threshold of W - D; likewise each set W - x of a core gets A and the x
 looped over before it, and the loop skips the x in A.  Thresholds never
 fall along these steps, but they do into a join factor, which starts
 with no anchor.  A set that has lost a vertex of A returns t.  And W
@@ -73,9 +69,11 @@ g - a, for g the generators inside W: a tau with jj(tau) > t contains a,
 and Delta_{tau - a} has no homology in degrees h >= t, so the exact
 sequence of the link screen below gives the link of a in Delta_tau a
 face F with |F| >= t; F + a holds no generator, so F misses a vertex of
-each g - a, and |F| <= |W| - 1 - p < t.  The sets g - a lie in W - a,
-and only a generator {a, w} leaves one vertex, so an a with fewer than
-2p - |W| + 1 of them is skipped without counting.
+each g - a, p distinct vertices, and |F| <= |W| - 1 - p < t.  The sets
+are picked greedily in generator index order, which stops once it
+prunes.  They lie in W - a, and only a generator {a, w} leaves one
+vertex, so an a with fewer than 2p - |W| + 1 of them is skipped without
+the greedy.
 
 A core's homology is taken of Delta_W itself.  Its faces are built size
 by size: a face F + v grows by each vertex w > v for which F + w is a
@@ -278,40 +276,41 @@ class _RestrictedSweep:
 
     def __init__(self, gens):
         self.gens = gens
-        self.through = [0] * max(gens).bit_length()
-        self.pairs = [0] * len(self.through)
+        through = self.through = [0] * max(gens).bit_length()
+        pairs = self.pairs = [0] * len(through)
         self.singles = 0
-        for i, g in enumerate(gens):
-            verts = bits(g)
+        members = [bits(g) for g in gens]
+        for i, verts in enumerate(members):
             for v in verts:
-                self.through[v] |= 1 << i
+                through[v] |= 1 << i
                 if len(verts) == 2:
-                    self.pairs[v] |= 1 << i
+                    pairs[v] |= 1 << i
             if len(verts) == 1:
                 self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
         # for vertices 0-7, 8-15 and 16-23, sized to the vertices there are
         # (a stand-in [0] for a byte with none), and the union of the
         # generators over the set bits of each byte of generator indices
-        tables = _byte_unions(self.through)
+        tables = _byte_unions(through)
         self._byte_through = tuple(tables + [[0]] * (3 - len(tables)))
         self._byte_gens = _byte_unions(gens)
         # _covers[v]: for each generator g through v, (its bit, g, the
         # generators through every vertex of g but v), all generators when
-        # g is v alone
-        self._covers = [[] for _ in self.through]
-        for i, g in enumerate(gens):
-            verts = bits(g)
+        # g is v alone: the AND of through[w] over the vertices w before v
+        # in g, kept as a running prefix, and over those after v, kept as a
+        # stack of suffixes
+        covers = self._covers = [[] for _ in through]
+        for i, (g, verts) in enumerate(zip(gens, members)):
+            bit, suffix, suffixes = 1 << i, -1, []
+            for w in reversed(verts):
+                suffixes.append(suffix)
+                suffix &= through[w]
+            prefix = -1
             for v in verts:
-                containing = -1
-                for w in verts:
-                    if w != v:
-                        containing &= self.through[w]
-                self._covers[v].append((1 << i, g, containing))
-        # R(W) by vertex set W: exact values, and upper bounds found below
-        # a threshold
+                covers[v].append((bit, g, prefix & suffixes.pop()))
+                prefix &= through[v]
+        # R(W) by vertex set W, where it is known exactly
         self._exact: dict[int, int] = {0: 0}
-        self._upper: dict[int, int] = {}
 
     def _union(self, gen_set):
         """The union of the vertex masks of the generators of gen_set."""
@@ -382,24 +381,24 @@ class _RestrictedSweep:
         return others & ~self._union(internal & ~covers)
 
     def _dominated(self, sigma, verts, internal):
-        """A triple (v, u, mutual) for the first vertex v of sigma (whose
-        vertices are verts) that some u dominates in the restriction to
-        sigma, or None; internal is the generator bitset of that
-        restriction.  u is the least dominator that v dominates back, and
-        mutual is then True; otherwise u is the least dominator.  The swap
-        (u v) of a mutual pair maps the generators inside sigma onto
-        themselves, so u and v lie in equally many of them, which is tested
-        before the dominators of u are."""
+        """A triple (v, D, mutual) for the first vertex v of sigma (whose
+        vertices are verts) that some vertex dominates in the restriction
+        to sigma, or None; internal is the generator bitset of that
+        restriction.  D is a vertex bitset: the least dominator u that v
+        dominates back, alone, with mutual True; otherwise every dominator
+        of v, with mutual False.  The swap (u v) of a mutual pair maps the
+        generators inside sigma onto themselves, so u and v lie in equally
+        many of them, which is tested before the dominators of u are."""
         through, dominators = self.through, self._dominators
         for v in verts:
-            above = bits(dominators(sigma, v, internal))
+            above = dominators(sigma, v, internal)
             if above:
                 count = (through[v] & internal).bit_count()
-                for u in above:
+                for u in bits(above):
                     if ((through[u] & internal).bit_count() == count
                             and dominators(sigma, u, internal) >> v & 1):
-                        return v, u, True
-                return v, above[0], False
+                        return v, 1 << u, True
+                return v, above, False
         return None
 
     # -- homology of a core ------------------------------------------------
@@ -478,7 +477,7 @@ class _RestrictedSweep:
         each is the apex of a cone in every restriction through it."""
         return sigma & ~self._union(internal)
 
-    def _packs(self, internal, need, apex=0):
+    def _packs(self, internal, need, apex):
         """True when need pairwise disjoint sets g - apex, for g among the
         generators of the bitset internal, are found by a greedy pick in
         index order: the least generator left is picked, and every
@@ -513,13 +512,10 @@ class _RestrictedSweep:
         sigma, and every subset of sigma that misses a vertex of anchor
         has jj at most floor.  Every set the singles and cone-apex rules
         pass through has the same R, so the answer is kept under each of
-        them."""
-        exact, upper = self._exact, self._upper
+        them, when it is exact."""
+        exact = self._exact
         path = []
         while sigma not in exact:
-            answer = upper.get(sigma, floor + 1)
-            if answer <= floor:
-                break
             path.append(sigma)
             if anchor & ~sigma:  # every subset misses an anchor vertex
                 answer = floor
@@ -541,45 +537,44 @@ class _RestrictedSweep:
                 continue
             verts = bits(sigma)
             answer = len(verts) - 2  # two generators or more
-            need = len(verts) - floor  # disjoint generators that prune
-            if 2 < need <= len(verts) // 2 and self._packs(internal, need):
-                answer = floor
-            elif (anchor and 2 < need < len(verts)
-                  and self._link_packs(internal, anchor, need, len(verts))):
+            need = len(verts) - floor  # disjoint sets g - a that prune
+            if (anchor and 2 < need < len(verts)
+                    and self._link_packs(internal, anchor, need, len(verts))):
                 answer = floor
             if answer > floor:
                 answer = self._branch(sigma, verts, internal, floor, anchor)
             break
         else:
             answer = exact[sigma]
-        memo = exact if answer > floor or sigma in exact else upper
-        for s in path:
-            memo[s] = answer
+        if answer > floor or sigma in exact:
+            for s in path:
+                exact[s] = answer
         return answer
 
     def _branch(self, sigma, verts, internal, floor, anchor):
         """_solve on a set that the singles and cone-apex rules leave as
-        it is, with two generators or more and bounds |sigma| - 2 and
-        |sigma| - p that exceed floor: the dominated pair, join and core
-        rules, in that order."""
+        it is, with two generators or more and a bound |sigma| - 2 that
+        exceeds floor: the dominated-vertex, join and core rules, in that
+        order."""
         through = self.through
         solve = self._solve
-        pair = self._dominated(sigma, verts, internal)
-        if pair is not None:
-            v, u, mutual = pair
+        dominated = self._dominated(sigma, verts, internal)
+        if dominated is not None:
+            v, dominators, mutual = dominated
             first = solve(sigma & ~(1 << v), internal & ~through[v], floor,
                           anchor)
             if mutual:  # the swap (u v) gives R(sigma - u) = R(sigma - v)
                 return first
-            second = solve(sigma & ~(1 << u), internal & ~through[u],
+            second = solve(sigma & ~dominators,
+                           self._without(internal, dominators),
                            max(floor, first), anchor | 1 << v)
             return max(first, second)
         factors = self._gen_components(sigma, internal)
         if len(factors) > 1:
             # each factor must beat floor less the others' current bounds:
-            # a memo's, or else |group| - 1
-            exact, upper = self._exact, self._upper
-            bounds = [exact.get(group, upper.get(group, group.bit_count() - 1))
+            # the memo's, or else |group| - 1
+            exact = self._exact
+            bounds = [exact.get(group, group.bit_count() - 1)
                       for group, _ in factors]
             total = sum(bounds)
             for i, (group, group_internal) in enumerate(factors):

@@ -149,6 +149,12 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
     intersection graph of the I unions: a pairwise-intersecting subset with
     empty intersection exists iff some maximal one does.
     """
+    return _family_violation(f, _meet_masks(f.I))
+
+
+def _family_violation(f, meets):
+    """validate_cl_family on the meet masks of the I unions, which a
+    caller that has the meets of all members reads off as their I block."""
     # i) J_0 = [0], J_j = [j-1, j]; derived J unions are these by
     # construction, so only an explicit J is checked
     if f.J is not None:
@@ -180,7 +186,6 @@ def validate_cl_family(f: CLFamily) -> Violation | None:
     # The maximal cliques of the meet graph are read from its masks in
     # lexicographic order, which fixes the violation reported.
     r = f.r
-    meets = _meet_masks(f.I)
     if r >= 2:
         for clique in sorted(bits(c) for c in clique_masks(meets)):
             if len(clique) < 2:

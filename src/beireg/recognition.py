@@ -108,7 +108,12 @@ def validate_cl_certificate(g, cert) -> str | None:
         return f"certificate has {len(cert.components)} components, graph has {len(view)}"
     for idx, ((sub, old_ids), part) in enumerate(zip(view, cert.components)):
         fam = part.family
-        violation = iv.validate_cl_family(fam)
+        # the meets of all members, J unions first; the family check reads
+        # the block of the I unions
+        js = fam.j_unions()
+        meets = iv._meet_masks((*js, *fam.I))
+        violation = iv._family_violation(
+            fam, tuple(m >> len(js) for m in meets[len(js):]))
         if violation is not None:
             return f"component {idx}: family invalid: {violation}"
         names = iv.member_names(fam)
@@ -121,7 +126,7 @@ def validate_cl_certificate(g, cert) -> str | None:
         position = {v: p for p, v in enumerate(old_ids)}
         at = [position[v] for v in images]
         carried = [0] * sub.n
-        for p, m in enumerate(iv._meet_masks((*fam.j_unions(), *fam.I))):
+        for p, m in enumerate(meets):
             carried[at[p]] = sum(1 << at[q] for q in gr.bits(m))
         nb = sub.neighbor_masks()
         if tuple(carried) != nb:

@@ -419,15 +419,16 @@ def reference_dominators(sweep, sigma, v, internal):
 
 def reference_dominated(sweep, sigma, verts, internal):
     """hochster._RestrictedSweep._dominated by reference_dominators: for
-    the first v with a dominator, (v, u, True) for the least dominator u
-    that v dominates back, else (v, least dominator, False)."""
+    the first v with a dominator, (v, {u} as a mask, True) for the least
+    dominator u that v dominates back, else (v, the mask of every
+    dominator, False)."""
     for v in verts:
         above = reference_dominators(sweep, sigma, v, internal)
         if above:
             for u in above:
                 if v in reference_dominators(sweep, sigma, u, internal):
-                    return v, u, True
-            return v, above[0], False
+                    return v, 1 << u, True
+            return v, sum(1 << u for u in above), False
     return None
 
 

@@ -125,28 +125,6 @@ class TestHollowSimplex:
             tight += reg == span.bit_count() - 2
         assert tight >= 3, tight
 
-    def test_disjoint_generators_bound(self):
-        """With p pairwise disjoint generators inside W, as _packs finds
-        them, R(W) <= |W| - p, by the full reference on random sets of
-        random ideals of up to 9 vertices; the bound is met in some draws
-        with p >= 2, and some draws have p >= 3."""
-        rng = random.Random(109)
-        tight = wide = 0
-        for _ in range(400):
-            nverts = rng.randint(4, 9)
-            ideal = random_ideal(rng, nverts, 10, (2, 2, 3))
-            sweep = _RestrictedSweep(list(ideal.gens))
-            for w, internal in rule_sets(rng, sweep, nverts, 4):
-                p = max((k for k in range(1, w.bit_count() + 1)
-                         if sweep._packs(internal, k)), default=0)
-                if p < 2:
-                    continue
-                reg = naive_restricted(ideal, w)
-                assert reg <= w.bit_count() - p, (supports(ideal), w, p)
-                tight += reg == w.bit_count() - p
-                wide += p >= 3
-        assert tight >= 30 and wide >= 3, (tight, wide)
-
 
 class TestHochsterRegularity:
     def test_single_pair(self):
@@ -198,7 +176,7 @@ class TestHochsterRegularity:
         that drops vertices of singleton generators only), cone apexes, a
         dominated pair, a join of several factors, and the homology of a
         core, on some core of at least 5 vertices; besides, some dominated
-        pair is mutual and the disjoint-generator bound prunes some set."""
+        pair is mutual."""
         fired = Counter()
         core_sizes = set()
 
@@ -217,8 +195,6 @@ class TestHochsterRegularity:
         spy("_dominated", lambda out, *args: out is not None)
         spy("_dominated", lambda out, *args: out is not None and out[2],
             "mutual")
-        # _packs with no apex: the disjoint-generator bound
-        spy("_packs", lambda out, sweep, *args: out and len(args) == 2)
         spy("_link_packs", lambda out, *args: out)
         spy("_gen_components", lambda out, *args: len(out) > 1)
         spy("_solve", lambda out, sweep, *args: anchor_missed(sweep, *args),
@@ -247,8 +223,7 @@ class TestHochsterRegularity:
             expected = naive_monomial_regularity(supports(ideal), nverts)
             assert hochster_regularity(ideal) == expected, supports(ideal)
         assert set(fired) == {"singles", "_apexes", "_dominated", "mutual",
-                              "_packs", "_link_packs", "_gen_components",
-                              "missed"}, fired
+                              "_link_packs", "_gen_components", "missed"}, fired
         assert max(core_sizes) >= 5, core_sizes
 
     def test_anchored_solve_keeps_its_contract(self, monkeypatch):
@@ -258,8 +233,8 @@ class TestHochsterRegularity:
         vertex a); the answer is R(sigma) when that exceeds floor and
         otherwise lies in [R(sigma), floor]; and a set that the
         missing-anchor rule or the anchored link bound prunes has
-        R(sigma) <= floor.  After each sweep every exact memo entry is R
-        and every upper one at least R.  Both prunes fire in the draws."""
+        R(sigma) <= floor.  After each sweep every memo entry is R.  Both
+        prunes fire in the draws."""
         solve, link_packs = _RestrictedSweep._solve, _RestrictedSweep._link_packs
         fired = Counter()
         frames = []
@@ -298,8 +273,6 @@ class TestHochsterRegularity:
             assert sweep.regularity() == table[-1], supports(ideal)
             for sigma, value in sweep._exact.items():
                 assert value == table[sigma], (supports(ideal), sigma)
-            for sigma, value in sweep._upper.items():
-                assert value >= table[sigma], (supports(ideal), sigma)
         assert fired["missed"] >= 10 and fired["link"] >= 10, fired
 
     def test_link_pack_screen_skips_only_failing_greedies(self,
@@ -313,7 +286,7 @@ class TestHochsterRegularity:
         def spied(self, internal, anchor, need, size):
             tried = []
 
-            def tracked(internal, need, apex=0):
+            def tracked(internal, need, apex):
                 tried.append(apex)
                 return packs(self, internal, need, apex)
 
@@ -441,12 +414,12 @@ def test_core_jj_matches_naive():
 
 
 def test_domination_is_inherited():
-    """Whenever _dominated(W, ...) returns (v, u, _), v stays dominated by
-    u in the restriction to every tau with {u, v} inside tau inside W,
-    checked by listing the faces.  W is a random set of generator vertices
-    less its singletons and cone apexes, as the dominated-pair rule sees
-    it.  The face check itself is anchored first: with the one generator
-    {0, 1} on 3 vertices, 0 is dominated by 2 and 2 not by 0."""
+    """Whenever _dominated(W, ...) returns (v, D, _), v stays dominated by
+    each u of D in the restriction to every tau with {u, v} inside tau
+    inside W, checked by listing the faces.  W is a random set of generator
+    vertices less its singletons and cone apexes, as the dominated-pair
+    rule sees it.  The face check itself is anchored first: with the one
+    generator {0, 1} on 3 vertices, 0 is dominated by 2 and 2 not by 0."""
     assert brute_dominates([(0, 1)], {0, 1, 2}, 0, 2)
     assert not brute_dominates([(0, 1)], {0, 1, 2}, 2, 0)
     rng = random.Random(67)
@@ -456,25 +429,28 @@ def test_domination_is_inherited():
         ideal = random_ideal(rng, nverts, 8, (1, 2, 3))
         sweep = _RestrictedSweep(list(ideal.gens))
         for w, internal in rule_sets(rng, sweep, nverts, 8):
-            pair = sweep._dominated(w, bits(w), internal)
-            if pair is None:
+            dominated = sweep._dominated(w, bits(w), internal)
+            if dominated is None:
                 continue
-            v, u, _ = pair
-            assert v != u and w >> v & 1 and w >> u & 1
-            for _ in range(4):
-                tau = w & rng.getrandbits(nverts) | 1 << u | 1 << v
-                assert brute_dominates(supports(ideal), bits(tau), v, u), (
-                    supports(ideal), w, tau, v, u)
-                checked += 1
+            v, dominators, _ = dominated
+            assert dominators and w >> v & 1 and dominators & ~w == 0
+            assert not dominators >> v & 1
+            for u in bits(dominators):
+                for _ in range(4):
+                    tau = w & rng.getrandbits(nverts) | 1 << u | 1 << v
+                    assert brute_dominates(supports(ideal), bits(tau), v, u), (
+                        supports(ideal), w, tau, v, u)
+                    checked += 1
     assert checked >= 200, checked
 
 
 def test_mutual_pairs_are_symmetric():
-    """Whenever _dominated(W, ...) reports a mutual pair (v, u), each of
+    """Whenever _dominated(W, ...) reports a mutual pair (v, {u}), each of
     the two dominates the other in the restriction to W, by listing the
-    faces, and R(W - v) = R(W - u) by the full reference; otherwise v does
-    not dominate u back.  Random sets of random ideals of up to 9
-    vertices, as the dominated-pair rule sees them."""
+    faces, and R(W - v) = R(W - u) by the full reference; otherwise v is
+    dominated by every u of D and dominates none of them back.  Random
+    sets of random ideals of up to 9 vertices, as the dominated-pair rule
+    sees them."""
     rng = random.Random(113)
     mutual = one_way = 0
     for _ in range(400):
@@ -482,21 +458,51 @@ def test_mutual_pairs_are_symmetric():
         ideal = random_ideal(rng, nverts, 8, (2, 2, 3))
         sweep = _RestrictedSweep(list(ideal.gens))
         for w, internal in rule_sets(rng, sweep, nverts, 4):
-            pair = sweep._dominated(w, bits(w), internal)
-            if pair is None:
+            dominated = sweep._dominated(w, bits(w), internal)
+            if dominated is None:
                 continue
-            v, u, both = pair
-            assert brute_dominates(supports(ideal), bits(w), v, u)
-            assert brute_dominates(supports(ideal), bits(w), u, v) == both, (
-                supports(ideal), w, pair)
+            v, dominators, both = dominated
+            if both:
+                assert dominators.bit_count() == 1, dominated
+            for u in bits(dominators):
+                assert brute_dominates(supports(ideal), bits(w), v, u)
+                assert brute_dominates(supports(ideal), bits(w), u, v) == both, (
+                    supports(ideal), w, dominated)
             if both:
                 mutual += 1
                 assert (naive_restricted(ideal, w & ~(1 << v))
-                        == naive_restricted(ideal, w & ~(1 << u))), (
-                    supports(ideal), w, pair)
+                        == naive_restricted(ideal, w & ~dominators)), (
+                    supports(ideal), w, dominated)
             else:
                 one_way += 1
     assert mutual >= 100 and one_way >= 50, (mutual, one_way)
+
+
+def test_dominated_vertex_drops_its_dominator_set():
+    """For every one-way (v, D) that _dominated returns on random sets of
+    random ideals of 5 to 7 vertices, R(W) = max(R(W - v), R(W - D)) by
+    the full reference table.  In some draws D has several vertices, and
+    in some the second branch alone reaches R(W)."""
+    rng = random.Random(131)
+    wide = second = checked = 0
+    for trial in range(40):
+        nverts = rng.randint(5, 7)
+        ideal = random_ideal(rng, nverts, 12, (2, 2, 3) if trial % 2 else (2, 3))
+        table = restricted_table(ideal)
+        sweep = _RestrictedSweep(list(ideal.gens))
+        for w, internal in rule_sets(rng, sweep, nverts, 60):
+            dominated = sweep._dominated(w, bits(w), internal)
+            if dominated is None or dominated[2]:
+                continue
+            v, dominators, _ = dominated
+            first, rest = table[w & ~(1 << v)], table[w & ~dominators]
+            assert table[w] == max(first, rest), (supports(ideal), w, v,
+                                                  dominators)
+            checked += 1
+            wide += dominators.bit_count() >= 2
+            second += rest > first
+    assert checked >= 150 and wide >= 50 and second >= 5, (
+        checked, wide, second)
 
 
 def test_without_matches_vertex_loop():
@@ -676,10 +682,11 @@ def test_union_matches_generator_loop():
 
 
 def test_dominated_matches_reference_scan():
-    """_dominated, on precomputed covers, returns the pair of the scan that
-    intersects through[w] per generator and tries each candidate u, on
-    random sets of random ideals of up to 12 vertices; the sets are taken
-    as the dominated-pair rule sees them, less singletons and apexes."""
+    """_dominated, on precomputed covers, returns the triple of the scan
+    that intersects through[w] per generator and tries each candidate u,
+    whole dominator set included, on random sets of random ideals of up to
+    12 vertices; the sets are taken as the dominated-pair rule sees them,
+    less singletons and apexes."""
     rng = random.Random(101)
     found = missed = 0
     for _ in range(200):
@@ -687,11 +694,11 @@ def test_dominated_matches_reference_scan():
         ideal = random_ideal(rng, nverts, 14, (1, 2, 2, 3, 3, 4))
         sweep = _RestrictedSweep(list(ideal.gens))
         for w, internal in rule_sets(rng, sweep, nverts, 6):
-            pair = sweep._dominated(w, bits(w), internal)
-            assert pair == reference_dominated(sweep, w, bits(w), internal), (
-                ideal.gens, w)
-            found += pair is not None
-            missed += pair is None and internal.bit_count() >= 2
+            dominated = sweep._dominated(w, bits(w), internal)
+            assert dominated == reference_dominated(sweep, w, bits(w),
+                                                    internal), (ideal.gens, w)
+            found += dominated is not None
+            missed += dominated is None and internal.bit_count() >= 2
     assert found >= 100 and missed >= 15, (found, missed)
 
 
@@ -778,8 +785,8 @@ class TestSweepPins:
         "c0bc9c6a5c55a4a4afd5125af014ab2b58940f907f8f52365226cfe224d09f94"
     # _solve and _branch calls over in(J_G) of every connected class with
     # n <= 6, in the given labelling and in the oracle's relabelling
-    SOLVE_CALLS, BRANCH_CALLS = 4858, 2438
-    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 3792, 1855
+    SOLVE_CALLS, BRANCH_CALLS = 3848, 1933
+    ORACLE_SOLVE_CALLS, ORACLE_BRANCH_CALLS = 3259, 1588
 
     @staticmethod
     def seeded_connected_8():
