@@ -4,9 +4,11 @@ bounds are built from.
 Vertices are integers 0..n-1.  All operations are pure functions of
 immutable inputs, so values can be shared freely between threads.  The
 exact algorithms (exhaustive longest-induced-path search, canonical forms
-by branch-and-bound over ordered partitions) are deliberate: every caller
-in this package works at desk scale (n <= 13), where exactness beats
-asymptotics.
+by branch-and-bound over ordered partitions) are deliberate: graphs come
+in at desk scale, at most formats.MAX_VERTICES (4096) vertices, which the
+parsers and the witness generators enforce, and exactness beats
+asymptotics there.  canonical_form and enumerate_graphs have their own,
+lower gates, CANONICAL_MAX_N and ENUMERATION_MAX_N.
 
 A `Graph` is its neighbour masks: a tuple whose entry v has bit u set iff
 u ~ v, over the vertices 0..n-1.  Each of components, induced subgraphs,

@@ -47,22 +47,26 @@ class NonBinomialError(RuntimeError):
     """Internal: the basis failed its zero-reduction certificate."""
 
 
+def _byte_unions(masks):
+    """One table per 8 masks, built by doubling as in graphs.bits: entry b
+    of table j is the OR of masks[8 j + i] over the set bits i of b.  The
+    packing below and the Hochster sweep's generator bookkeeping use it."""
+    tables = []
+    for start in range(0, len(masks), 8):
+        table = [0]
+        for m in masks[start:start + 8]:
+            table += [union | m for union in table]
+        tables.append(table)
+    return tables
+
+
 @cache
 def _pack_tables(nvars):
-    """One table per 8 variables, built by doubling: entry b of table j
-    is the packed mask of the variables 8 j + i for the set bits i of b,
-    variable k a 1 at the foot of field nvars - 1 - k, of the width
-    _certify uses.  Cached per nvars: the oracle uses at most ten, the even
-    counts up to the gate."""
+    """The byte unions of the packed variables: variable k is a 1 at the
+    foot of field nvars - 1 - k, of the width _certify uses.  Cached per
+    nvars: the oracle uses at most ten, the even counts up to the gate."""
     width = nvars.bit_length() + 1
-    tables = []
-    for start in range(0, nvars, 8):
-        table = [0]
-        for k in range(start, min(start + 8, nvars)):
-            place = 1 << (nvars - 1 - k) * width
-            table += [packed | place for packed in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    return _byte_unions([1 << (nvars - 1 - k) * width for k in range(nvars)])
 
 
 def _certify(basis, nvars):

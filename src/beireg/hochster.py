@@ -7,11 +7,13 @@ in which the complex restricted to tau, Delta_tau, has nonzero reduced
 homology; an acyclic restriction contributes nothing, and the empty set
 ({emptyset}, homology in degree -1) contributes 0.  The sweep computes
 R(W), the largest jj(tau) over the subsets tau of W, by a memoized
-recursion that starts at the span of the generators, with R(emptyset) = 0.
-Six exact rules apply, in this order:
+recursion with R(emptyset) = 0.  A vertex that is itself a generator lies
+in no face and, the generators being minimal, in no other generator, so
+these singles leave with their generators before the recursion, which
+starts at the span of the rest.  A restriction drops generators but never
+shrinks one, so the recursion meets no single.  Five exact rules apply,
+in this order:
 
-  * singles: a vertex that is itself a generator lies in no face, so it
-    is dropped;
   * cone apexes: a vertex in no generator inside W is the apex of a cone,
     so every restriction through it is acyclic, and it is dropped;
   * one generator: W is then that generator, Delta_W is the boundary of
@@ -87,23 +89,21 @@ Delta_{W - v} has no homology in the degrees h >= F.  The exact sequence
 of the pair (Delta_W, Delta_{W - v}) then embeds H~_h(Delta_W) in
 H~_{h-1}(lk v), and a link with no homology mod 2 (so none over Q, see
 below) in the degrees F - 1 to |W| - 4 proves jj(W) <= F without the
-core's own faces.  The link's faces are the faces of Delta_W through v,
-built by the same rule from v, and v is a vertex with the most generators
-through it, which tends to have the fewest of them.
+core's own faces.  v is the least vertex of W, and the link's faces are
+the faces of Delta_W through v, built by the same rule from v.
 
 The bookkeeping is done on generator indices.  Each sweep indexes the
 generators once: through[v] is the int bitset of the generators through
-vertex v, pairs[v] that of the generators {v, w}, and one more bitset
-marks the singleton generators.  The generators inside W are all of them
-with through[v] cleared for every v outside W, read from three tables
-that hold the union of through[v] over each byte of vertices, each sized
-to the vertices the ideal has in its byte; hochster_regularity admits at
-most 20 variables, so the three bytes hold every vertex.  The union of a
-generator bitset is read the same way, from one table per 8 generator
-indices.  The domination test for v ORs, over the generators g through v,
-a bitset kept per (g, v): the generators through every vertex of g but v.
-That settles every candidate u at once.  A join factor grows by flood fill
-over these bitsets.
+vertex v, and pairs[v] that of the generators {v, w}.  The generators
+inside W are all of them with through[v] cleared for every v outside W,
+read from three tables that hold the union of through[v] over each byte
+of vertices, each sized to the vertices the ideal has in its byte;
+hochster_regularity admits at most 20 variables, so the three bytes hold
+every vertex.  The union of a generator bitset is read the same way, from
+one table per 8 generator indices.  The domination test for v ORs, over
+the generators g through v, a bitset kept per (g, v): the generators
+through every vertex of g but v.  That settles every candidate u at once.
+A join factor grows by flood fill over these bitsets.
 
 Homology is computed over GF(2) first.  A boundary column is an int
 bitset over the row indices, and elimination XORs columns on their top
@@ -113,9 +113,10 @@ It cannot prove a nonzero one.  The 6-vertex real projective plane has
 homology mod 2 in degree 2 and none over Q, so its quotient has
 regularity 3 over GF(2) and 2 over Q (Bruns & Herzog, Cohen-Macaulay
 Rings, 5.3).  Wherever GF(2) reports homology in a core, exact integer
-elimination on the same two maps confirms or overrules it.  It takes the
-columns in order and pivots on short rows with unit entries, so every
-value is the characteristic-zero one, with no floating point anywhere.
+elimination on the same two maps confirms or overrules it.  _rank is the
+integer twin of _rank_mod2: it clears each column on its top row by an
+integer combination with the kept column there, so every value is the
+characteristic-zero one, with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -123,66 +124,39 @@ from __future__ import annotations
 from math import gcd
 
 from .graphs import bits
-from .groebner import GROEBNER_MAX_VARIABLES, MonomialIdeal
+from .groebner import GROEBNER_MAX_VARIABLES, MonomialIdeal, _byte_unions
 
 
 def _rank(columns):
     """Rank over the rationals of an integer matrix given as sparse columns
-    (dicts row -> value).
-
-    Fraction-free elimination that takes the columns in order.  The pivot
-    of a column is the shortest remaining row with a unit entry there, or
-    else the shortest row with any entry there; every other row with an
-    entry in the column is cleared by an integer combination with the
-    pivot row and, when the pivot is not a unit, divided by its content.
-    The pivot row then leaves the matrix.  It has no entry in an earlier
-    column, so no row gains one there, and each column is visited once."""
-    rows: dict[int, dict[int, int]] = {}
-    holders: list[set[int]] = [set() for _ in columns]
-    for c, col in enumerate(columns):
-        for r, val in col.items():
-            if val:
-                rows.setdefault(r, {})[c] = val
-                holders[c].add(r)
-    rank = 0
-    for c, here in enumerate(holders):
-        if not here:
-            continue
-        pr = min(here, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r])))
-        prow = rows.pop(pr)
-        for cc in prow:
-            holders[cc].discard(pr)
-        rank += 1
-        pval = prow[c]
-        unit = abs(pval) == 1
-        for r in list(here):
-            row = rows[r]
-            val = row[c]
-            if unit:
-                factor = val * pval
-            else:
-                g = gcd(pval, val)
-                factor, scale = val // g, pval // g
-                for cc in row:
-                    row[cc] *= scale
-            for cc, pv in prow.items():
-                nv = row.get(cc, 0) - factor * pv
-                if nv:
-                    row[cc] = nv
-                    holders[cc].add(r)
-                elif cc in row:
-                    del row[cc]
-                    holders[cc].discard(r)
-            if not unit:
-                content = 0
-                for v in row.values():
-                    content = gcd(content, v)
-                if content > 1:
-                    for cc in row:
-                        row[cc] //= content
-            if not row:
-                del rows[r]
-    return rank
+    (dicts row -> value), the integer twin of _rank_mod2: each column is
+    cleared on its top row by an integer combination with the kept column
+    of that row and divided by its content, until its top row is new, and
+    is then kept."""
+    kept = {}
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        while col:
+            top = max(col)
+            pivot = kept.get(top)
+            if pivot is None:
+                kept[top] = col
+                break
+            # col becomes a * col - b * pivot, whose top row is 0
+            a, b = pivot[top], col.pop(top)
+            for r in col:
+                col[r] *= a
+            for r, v in pivot.items():
+                if r != top:
+                    v = col.get(r, 0) - b * v
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+            content = gcd(*col.values())
+            if content > 1:
+                col = {r: v // content for r, v in col.items()}
+    return len(kept)
 
 
 def _rank_mod2(columns):
@@ -257,18 +231,6 @@ def _top_homology(levels, low, high, root=0, exact=True):
     return None
 
 
-def _byte_unions(masks):
-    """One table per 8 masks, built by doubling as in graphs.bits: entry b
-    of table j is the OR of masks[8 j + i] over the set bits i of b."""
-    tables = []
-    for start in range(0, len(masks), 8):
-        table = [0]
-        for m in masks[start:start + 8]:
-            table += [union | m for union in table]
-        tables.append(table)
-    return tables
-
-
 class _RestrictedSweep:
     """Sweep machinery for one squarefree ideal, given by its
     inclusion-minimal generators.  A set of generators is an int bitset
@@ -278,15 +240,12 @@ class _RestrictedSweep:
         self.gens = gens
         through = self.through = [0] * max(gens).bit_length()
         pairs = self.pairs = [0] * len(through)
-        self.singles = 0
         members = [bits(g) for g in gens]
         for i, verts in enumerate(members):
             for v in verts:
                 through[v] |= 1 << i
                 if len(verts) == 2:
                     pairs[v] |= 1 << i
-            if len(verts) == 1:
-                self.singles |= 1 << i
         # the OR of through[v] over the set bits of a byte of vertices,
         # for vertices 0-7, 8-15 and 16-23, sized to the vertices there are
         # (a stand-in [0] for a byte with none), and the union of the
@@ -296,19 +255,15 @@ class _RestrictedSweep:
         self._byte_gens = _byte_unions(gens)
         # _covers[v]: for each generator g through v, (its bit, g, the
         # generators through every vertex of g but v), all generators when
-        # g is v alone: the AND of through[w] over the vertices w before v
-        # in g, kept as a running prefix, and over those after v, kept as a
-        # stack of suffixes
+        # g is v alone
         covers = self._covers = [[] for _ in through]
         for i, (g, verts) in enumerate(zip(gens, members)):
-            bit, suffix, suffixes = 1 << i, -1, []
-            for w in reversed(verts):
-                suffixes.append(suffix)
-                suffix &= through[w]
-            prefix = -1
             for v in verts:
-                covers[v].append((bit, g, prefix & suffixes.pop()))
-                prefix &= through[v]
+                containing = -1
+                for w in verts:
+                    if w != v:
+                        containing &= through[w]
+                covers[v].append((1 << i, g, containing))
         # R(W) by vertex set W, where it is known exactly
         self._exact: dict[int, int] = {0: 0}
 
@@ -442,10 +397,8 @@ class _RestrictedSweep:
         before the core rule shrinks, splits or closes, so its generator
         bitset internal holds at least two generators and homology in
         degree h needs h <= |core| - 3, besides a face of size h + 1."""
-        top, low = core.bit_count() - 3, max(floor, 0)
-        if top < low:
-            return None
-        h = _top_homology(self._faces(core, internal), low, top)
+        h = _top_homology(self._faces(core, internal), max(floor, 0),
+                          core.bit_count() - 3)
         return None if h is None else h + 1
 
     def _link_acyclic(self, core, internal, floor):
@@ -459,16 +412,14 @@ class _RestrictedSweep:
         H~_h(Delta_core) in H~_{h-1}(lk v).  Homology of the core in the
         degrees floor <= h <= |core| - 3 therefore needs homology of the
         link in degree h - 1, and the link has none there when it has none
-        mod 2.  v is a vertex with the most generators through it, and the
-        link's faces are the faces through v, v left out."""
+        mod 2.  v is the least vertex of core, and the link's faces are the
+        faces through v, v left out."""
         low, high = max(floor, 0) - 1, core.bit_count() - 4
         if high < low:
             return True
-        through = self.through
-        v = max(bits(core), key=lambda x: (through[x] & internal).bit_count())
-        levels = self._faces(core, internal, 1 << v)
-        return _top_homology(levels, low, high, root=1 << v,
-                             exact=False) is None
+        root = core & -core
+        levels = self._faces(core, internal, root)
+        return _top_homology(levels, low, high, root=root, exact=False) is None
 
     # -- the recursion -----------------------------------------------------
 
@@ -510,9 +461,9 @@ class _RestrictedSweep:
         exceeds floor; otherwise an upper bound on it that is at most
         floor.  internal is the generator bitset of the restriction to
         sigma, and every subset of sigma that misses a vertex of anchor
-        has jj at most floor.  Every set the singles and cone-apex rules
-        pass through has the same R, so the answer is kept under each of
-        them, when it is exact."""
+        has jj at most floor.  Every set the cone-apex rule passes through
+        has the same R, so the answer is kept under each of them, when it
+        is exact."""
         exact = self._exact
         path = []
         while sigma not in exact:
@@ -520,13 +471,6 @@ class _RestrictedSweep:
             if anchor & ~sigma:  # every subset misses an anchor vertex
                 answer = floor
                 break
-            # singles: a vertex that is itself a generator lies in no face
-            singles = internal & self.singles
-            if singles:
-                dropped = self._union(singles)
-                sigma &= ~dropped
-                internal = self._without(internal, dropped)
-                continue
             apexes = self._apexes(sigma, internal)
             if apexes:
                 sigma &= ~apexes
@@ -552,10 +496,9 @@ class _RestrictedSweep:
         return answer
 
     def _branch(self, sigma, verts, internal, floor, anchor):
-        """_solve on a set that the singles and cone-apex rules leave as
-        it is, with two generators or more and a bound |sigma| - 2 that
-        exceeds floor: the dominated-vertex, join and core rules, in that
-        order."""
+        """_solve on a set that the cone-apex rule leaves as it is, with two
+        generators or more and a bound |sigma| - 2 that exceeds floor: the
+        dominated-vertex, join and core rules, in that order."""
         through = self.through
         solve = self._solve
         dominated = self._dominated(sigma, verts, internal)
@@ -604,14 +547,19 @@ class _RestrictedSweep:
         return floor if top is None else top
 
     def regularity(self):
-        everything = (1 << len(self.gens)) - 1
-        return self._solve(self._union(everything), everything, -1)
+        """R of the span of the generators, which must be inclusion-minimal,
+        once the singles have left with their generators."""
+        singles = sum(g for g in self.gens if g & (g - 1) == 0)
+        internal = self._without((1 << len(self.gens)) - 1, singles)
+        return self._solve(self._union(internal), internal, -1)
 
 
 def hochster_regularity(ideal: MonomialIdeal) -> int:
     """Castelnuovo-Mumford regularity of the quotient by a squarefree
     monomial ideal, over the rationals; 0 for the zero ideal.  Gated at the
-    Groebner basis's variable limit, the largest ideal the oracle builds."""
+    Groebner basis's variable limit, the largest ideal the oracle builds.
+    Raises ValueError unless the generators are inclusion-minimal, as
+    MonomialIdeal.from_supports leaves them."""
     if ideal.nvars > GROEBNER_MAX_VARIABLES:
         raise ValueError(
             f"hochster_regularity is limited to {GROEBNER_MAX_VARIABLES} "
@@ -624,4 +572,13 @@ def hochster_regularity(ideal: MonomialIdeal) -> int:
                 f"generator mask {g} is not a set of {ideal.nvars} variables")
     if not ideal.gens:
         return 0
-    return _RestrictedSweep(list(ideal.gens)).regularity()
+    sweep = _RestrictedSweep(list(ideal.gens))
+    through = sweep.through
+    # the generators that contain g, those through every vertex of g: g
+    # alone when the generators are minimal
+    for v, entries in enumerate(sweep._covers):
+        for bit, g, containing in entries:
+            if containing & through[v] != bit:
+                raise ValueError(
+                    f"generator mask {g} is not minimal: it lies in another")
+    return sweep.regularity()

@@ -37,13 +37,18 @@ def random_ideal(rng, nverts, max_gens, sizes):
     return MonomialIdeal.from_supports(nverts, gens)
 
 
+def single_vertices(gens):
+    """The vertices that are generators by themselves, as a mask."""
+    return sum(g for g in gens if g & (g - 1) == 0)
+
+
 def rule_sets(rng, sweep, nverts, count):
     """count random vertex sets of the sweep's span as the dominated-pair
     and bound rules see them, less singletons and cone apexes, each with
     its generator bitset."""
     everything = (1 << len(sweep.gens)) - 1
     span = sweep._union(everything)
-    singles = sweep._union(sweep.singles)
+    singles = single_vertices(sweep.gens)
     for _ in range(count):
         w = rng.getrandbits(nverts) & span & ~singles
         internal = sweep._without(everything, span & ~w)
@@ -51,18 +56,13 @@ def rule_sets(rng, sweep, nverts, count):
 
 
 def anchor_missed(sweep, sigma, internal, floor, anchor=0):
-    """True when anchor has a vertex outside the set that the singles and
-    cone-apex rules leave of sigma, the union of the generators inside
-    sigma that miss every singleton generator, so that _solve prunes
-    sigma at or below floor by the missing-anchor rule."""
-    gens = [sweep.gens[i] for i in bits(internal)]
-    singles = kept = 0
-    for g in gens:
-        if g & (g - 1) == 0:
-            singles |= g
-    for g in gens:
-        if not g & singles:
-            kept |= g
+    """True when anchor has a vertex outside the set that the cone-apex
+    rule leaves of sigma, the union of the generators inside sigma, so
+    that _solve prunes sigma at or below floor by the missing-anchor
+    rule."""
+    kept = 0
+    for i in bits(internal):
+        kept |= sweep.gens[i]
     return bool(anchor & ~(sigma & kept))
 
 
@@ -142,6 +142,33 @@ class TestHochsterRegularity:
         with pytest.raises(ValueError):
             hochster_regularity(MonomialIdeal(4, (0,)))
 
+    def test_non_minimal_generators_rejected(self):
+        """A MonomialIdeal built directly with a duplicate or a nested
+        generator raises, where the sweep would read a wrong value (0 for
+        the duplicate pair, whose value is 1); on random directly built
+        ideals the sweep raises or agrees with from_supports."""
+        for nvars, gens in ((2, (0b11, 0b11)), (2, (0b01, 0b11)),
+                            (3, (0b011, 0b110, 0b111))):
+            with pytest.raises(ValueError, match="not minimal"):
+                hochster_regularity(MonomialIdeal(nvars, gens))
+        assert hochster_regularity(MonomialIdeal.from_supports(2, [0b11])) == 1
+        rng = random.Random(5)
+        raised = agreed = 0
+        for _ in range(3000):
+            nvars = rng.randint(2, 7)
+            gens = tuple(rng.randrange(1, 1 << nvars)
+                         for _ in range(rng.randint(1, 6)))
+            expected = hochster_regularity(
+                MonomialIdeal.from_supports(nvars, gens))
+            try:
+                value = hochster_regularity(MonomialIdeal(nvars, gens))
+            except ValueError:
+                raised += 1
+                continue
+            agreed += 1
+            assert value == expected, (nvars, gens)
+        assert raised >= 1000 and agreed >= 300, (raised, agreed)
+
     def test_generator_beyond_nvars_rejected(self):
         # an ideal built without from_supports cannot carry generators on
         # variables past nvars under the size gate
@@ -172,7 +199,7 @@ class TestHochsterRegularity:
         rare; every other draw has 3-vertex generators only on 5 to 7
         vertices, where a core's subsets often beat the core itself.  A
         spy on each rule's method counts its firings, and every rule must
-        fire somewhere in the draws: singles (the one caller of _without
+        fire somewhere in the draws: singles (the one call of _without
         that drops vertices of singleton generators only), cone apexes, a
         dominated pair, a join of several factors, and the homology of a
         core, on some core of at least 5 vertices; besides, some dominated
@@ -206,7 +233,7 @@ class TestHochsterRegularity:
             return core_jj(self, core, internal, floor)
 
         def singles_without(self, gen_set, verts):
-            if verts and not verts & ~self._union(self.singles):
+            if verts and not verts & ~single_vertices(self.gens):
                 fired["singles"] += 1
             return without(self, gen_set, verts)
 
@@ -225,6 +252,33 @@ class TestHochsterRegularity:
         assert set(fired) == {"singles", "_apexes", "_dominated", "mutual",
                               "_link_packs", "_gen_components", "missed"}, fired
         assert max(core_sizes) >= 5, core_sizes
+
+    def test_singles_leave_before_the_recursion(self, monkeypatch):
+        """On random ideals that hold singleton generators, no _solve call
+        of the sweep sees a singleton in internal or a singleton's vertex
+        in sigma, and the values match the full 2^n reference."""
+        solve = _RestrictedSweep._solve
+        calls = 0
+
+        def checked(self, sigma, internal, floor, anchor=0):
+            nonlocal calls
+            calls += 1
+            singles = single_vertices(self.gens)
+            assert not sigma & singles, (self.gens, sigma)
+            assert not any(self.gens[i] & singles for i in bits(internal)), (
+                self.gens, internal)
+            return solve(self, sigma, internal, floor, anchor)
+
+        monkeypatch.setattr(_RestrictedSweep, "_solve", checked)
+        rng = random.Random(227)
+        with_singles = 0
+        for _ in range(60):
+            nverts = rng.randint(3, 8)
+            ideal = random_ideal(rng, nverts, 10, (1, 2, 2, 3, 3))
+            with_singles += single_vertices(ideal.gens) != 0
+            expected = naive_monomial_regularity(supports(ideal), nverts)
+            assert hochster_regularity(ideal) == expected, supports(ideal)
+        assert with_singles >= 30 and calls >= 100, (with_singles, calls)
 
     def test_anchored_solve_keeps_its_contract(self, monkeypatch):
         """Every _solve call of the sweep on random ideals of up to 8
@@ -561,19 +615,22 @@ def _random_column(rng, nrows, values):
 
 def test_rank_matches_fraction_rank():
     """_rank against dense Fraction elimination on sparse integer matrices
-    with entries in +-1..+-4; each matrix also has an empty column, a
-    duplicate column, an integer combination of two columns and a column
-    with no unit entry, which is put first in half the draws so that a
-    non-unit pivot is certain to be taken."""
+    with entries in +-1..+-4, and in every third draw +-1..+-50, where
+    the combinations leave a content to divide out; each matrix also has
+    an empty column, a duplicate column, an integer combination of two
+    columns and a column with no unit entry, which is put first in half
+    the draws so that a non-unit top entry is certain to be kept."""
     rng = random.Random(53)
     small = [1, -1, 2, -2, 3, -3, 4, -4]
-    no_unit = [2, -2, 3, -3, 4, -4]
-    for trial in range(300):
+    wide = [v for v in range(-50, 51) if v]
+    for trial in range(450):
+        values = small if trial % 3 else wide
+        no_unit = [v for v in values if abs(v) > 1]
         nrows = rng.randint(1, 9)
-        cols = [_random_column(rng, nrows, small)
+        cols = [_random_column(rng, nrows, values)
                 for _ in range(rng.randint(1, 7))]
         a, b = rng.choice(cols), rng.choice(cols)
-        ka, kb = rng.choice(small), rng.choice(small)
+        ka, kb = rng.choice(values), rng.choice(values)
         combo = {r: ka * a.get(r, 0) + kb * b.get(r, 0) for r in range(nrows)}
         cols += [{}, dict(rng.choice(cols)),
                  {r: v for r, v in combo.items() if v}]
@@ -582,16 +639,6 @@ def test_rank_matches_fraction_rank():
         cols.insert(0 if trial % 2 else rng.randint(0, len(cols)), bare)
         dense = [[col.get(r, 0) for col in cols] for r in range(nrows)]
         assert _rank([dict(col) for col in cols]) == _fraction_rank(dense), cols
-
-
-def test_rank_takes_unit_pivots(monkeypatch):
-    """Where every column keeps a unit entry the elimination needs no gcd:
-    row 0 is first but is passed over for the unit rows 1 and 2."""
-    def no_gcd(*args):
-        raise AssertionError("non-unit pivot taken")
-
-    monkeypatch.setattr(hochster, "gcd", no_gcd)
-    assert _rank([{0: 2, 1: 1}, {0: 3, 2: 1}]) == 2
 
 
 # the 10 triangles of the 6-vertex real projective plane (1-based labels);
@@ -703,7 +750,7 @@ def test_dominated_matches_reference_scan():
 
 
 class TestLinkScreen:
-    """A core is skipped when the link of its busiest vertex is acyclic mod 2
+    """A core is skipped when the link of its least vertex is acyclic mod 2
     in degrees floor - 1 .. |core| - 4."""
 
     @staticmethod
@@ -736,8 +783,7 @@ class TestLinkScreen:
                 failed += 1
                 continue
             passed += 1
-            v = max(bits(w), key=lambda x: (sweep.through[x] & internal)
-                    .bit_count())
+            v = bits(w)[0]
             betti = self.link_betti(ideal, w, v)
             for h in range(floor - 1, w.bit_count() - 3):
                 assert not betti.get(h), (ideal.gens, w, floor, v, betti)

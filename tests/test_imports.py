@@ -6,6 +6,7 @@ The module sets are read in fresh interpreters, since this process has
 imported every module already.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -100,3 +101,40 @@ def test_unknown_name_raises_attribute_error():
         beireg.nonexistent
     with pytest.raises(ImportError):
         exec("from beireg import nonexistent", {})
+
+
+def package_imports(source):
+    """The beireg modules that source imports, by their names in the
+    package; a bare `import beireg` reads as ''."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["beireg" if node.level else "",
+                                          node.module]))
+            if node.module and base != "beireg":
+                names.add(base)
+            else:
+                names |= {f"{base}.{alias.name}" for alias in node.names}
+    return {name.partition(".")[2] for name in names
+            if name.partition(".")[0] == "beireg"}
+
+
+@pytest.mark.parametrize("name", ["groebner", "hochster"])
+def test_oracle_imports_no_structural_module(name):
+    """The oracle stays independent of the structural rules: the package
+    modules that groebner and hochster import, read from their source,
+    are graphs and groebner only.  `import beireg` loads regularity, so a
+    fresh interpreter cannot show this."""
+    source = (SRC / "beireg" / f"{name}.py").read_text()
+    assert package_imports(source) <= {"graphs", "groebner"}
+
+
+def test_package_imports_reads_every_form():
+    source = ("import os\nimport beireg\nimport beireg.cli\n"
+              "from beireg import formats\nfrom beireg.graphs import bits\n"
+              "from . import witnesses\nfrom .regularity import reg\n"
+              "from math import gcd\n")
+    assert package_imports(source) == {"", "cli", "formats", "graphs",
+                                       "witnesses", "regularity"}
