@@ -11,7 +11,11 @@ The reduced Groebner basis of J_G is known: it is the set of u_pi * f_ij,
 one for each admissible path pi from i to j (Herzog, Hibi, Hreinsdottir,
 Kahle, Rauh, Adv. Appl. Math. 45 (2010), Thm 2.1).  Every element is a monic
 difference m - m' of squarefree monomials, so the initial ideal is the
-squarefree monomial ideal the Hochster sweep works on.
+squarefree monomial ideal the Hochster sweep works on.  _admissible_paths
+builds the (lead, trail) pairs in one walk over the paths, and lex_groebner
+sorts and certifies them.  A reduced basis has distinct leads, none
+dividing another, so its sorted leads are the minimal generators of the
+initial ideal in increasing order.
 
 The basis is not taken on trust: every call certifies it by reducing the
 S-polynomial of every pair of elements whose leads share a variable to
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import index
 
 
 GROEBNER_MAX_VARIABLES = 20
@@ -152,20 +157,23 @@ def _certify(basis, nvars):
 
 
 def _admissible_paths(g):
-    """Yield (i, j, u) for every admissible path of g: an induced path
-    from i to j with i < j whose interior vertices all lie outside the
-    interval [i, j].  u is the mask of the path's monomial u_pi: x_v for
-    each interior vertex v > j, y_v for each interior vertex v < i."""
+    """The basis elements of g, unsorted: for every admissible path from i
+    to j, an induced path with i < j whose interior vertices all lie
+    outside the interval [i, j], the (lead, trail) pair of
+    u * (x_i y_j - x_j y_i).  u is the mask of the path's monomial u_pi:
+    x_v for each interior vertex v > j, y_v for each interior vertex v < i."""
     n = g.n
     nbrs = g.neighbor_masks()
+    basis = []
     for i in range(n):
+        x_i, y_i = 1 << i, 1 << n + i
         # (end, vertices on the path, u of the interior, bound): every
         # interior vertex above i caps the far end j below it
-        stack = [(i, 1 << i, 0, n)]
+        stack = [(i, x_i, 0, n)]
         while stack:
             end, on_path, u, cap = stack.pop()
             if i < end < cap:
-                yield i, end, u
+                basis.append((u | x_i | 1 << n + end, u | 1 << end | y_i))
             if end > i:
                 u |= 1 << end
                 cap = min(cap, end)
@@ -180,6 +188,7 @@ def _admissible_paths(g):
                 free &= free - 1
                 if not nbrs[v] & before:
                     stack.append((v, on_path | 1 << v, u, cap))
+    return basis
 
 
 def lex_groebner(g):
@@ -193,8 +202,8 @@ def lex_groebner(g):
     if 2 * n > GROEBNER_MAX_VARIABLES:
         raise ValueError(
             f"groebner computation is limited to {GROEBNER_MAX_VARIABLES} variables")
-    basis = sorted((u | 1 << i | 1 << n + j, u | 1 << j | 1 << n + i)
-                   for i, j, u in _admissible_paths(g))
+    basis = _admissible_paths(g)
+    basis.sort()
     _certify(basis, 2 * n)
     return basis
 
@@ -210,9 +219,18 @@ class MonomialIdeal:
     @classmethod
     def from_supports(cls, nvars, masks):
         """The ideal of the given generator supports; raises ValueError for
-        a mask outside [1, 2^nvars), which names no nonempty set of the
-        nvars variables."""
-        masks = sorted(set(int(m) for m in masks))
+        a mask that is not an integer (an int, or a type with __index__
+        such as numpy's), and for one outside [1, 2^nvars), which names no
+        nonempty set of the nvars variables."""
+        read = set()
+        for m in masks:
+            try:
+                mask = index(m)
+            except TypeError:
+                raise ValueError(
+                    f"generator mask {m!r} is not an integer") from None
+            read.add(mask)
+        masks = sorted(read)
         for m in masks:
             if not 0 < m < 1 << nvars:
                 raise ValueError(

@@ -333,7 +333,11 @@ class _RestrictedSweep:
         others = sigma & ~near  # the candidates u
         if not others:
             return 0
-        return others & ~self._union(internal & ~covers)
+        uncovered = internal & ~covers
+        for table in self._byte_gens:
+            others &= ~table[uncovered & 0xFF]
+            uncovered >>= 8
+        return others
 
     def _dominated(self, sigma, verts, internal):
         """A triple (v, D, mutual) for the first vertex v of sigma (whose
@@ -423,11 +427,6 @@ class _RestrictedSweep:
 
     # -- the recursion -----------------------------------------------------
 
-    def _apexes(self, sigma, internal):
-        """The vertices of sigma in no generator of the bitset internal:
-        each is the apex of a cone in every restriction through it."""
-        return sigma & ~self._union(internal)
-
     def _packs(self, internal, need, apex):
         """True when need pairwise disjoint sets g - apex, for g among the
         generators of the bitset internal, are found by a greedy pick in
@@ -464,16 +463,20 @@ class _RestrictedSweep:
         has jj at most floor.  Every set the cone-apex rule passes through
         has the same R, so the answer is kept under each of them, when it
         is exact."""
-        exact = self._exact
+        exact, byte_gens = self._exact, self._byte_gens
         path = []
         while sigma not in exact:
             path.append(sigma)
             if anchor & ~sigma:  # every subset misses an anchor vertex
                 answer = floor
                 break
-            apexes = self._apexes(sigma, internal)
-            if apexes:
-                sigma &= ~apexes
+            # a vertex in no generator of internal is a cone apex
+            span, rest = 0, internal
+            for table in byte_gens:
+                span |= table[rest & 0xFF]
+                rest >>= 8
+            if sigma & ~span:
+                sigma &= span
                 continue
             if internal & (internal - 1) == 0:
                 # one generator, all of sigma: the boundary of a simplex
@@ -558,8 +561,9 @@ def hochster_regularity(ideal: MonomialIdeal) -> int:
     """Castelnuovo-Mumford regularity of the quotient by a squarefree
     monomial ideal, over the rationals; 0 for the zero ideal.  Gated at the
     Groebner basis's variable limit, the largest ideal the oracle builds.
-    Raises ValueError unless the generators are inclusion-minimal, as
-    MonomialIdeal.from_supports leaves them."""
+    Raises ValueError unless the generators are inclusion-minimal and
+    distinct.  MonomialIdeal.from_supports leaves them so, and so are the
+    leads of a reduced Groebner basis, which the oracle takes unchanged."""
     if ideal.nvars > GROEBNER_MAX_VARIABLES:
         raise ValueError(
             f"hochster_regularity is limited to {GROEBNER_MAX_VARIABLES} "
@@ -572,7 +576,7 @@ def hochster_regularity(ideal: MonomialIdeal) -> int:
                 f"generator mask {g} is not a set of {ideal.nvars} variables")
     if not ideal.gens:
         return 0
-    sweep = _RestrictedSweep(list(ideal.gens))
+    sweep = _RestrictedSweep(ideal.gens)
     through = sweep.through
     # the generators that contain g, those through every vertex of g: g
     # alone when the generators are minimal

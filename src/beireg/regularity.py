@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 
 from . import graphs as gr
-from .groebner import GROEBNER_MAX_VARIABLES, initial_ideal, lex_groebner
+from .groebner import GROEBNER_MAX_VARIABLES, MonomialIdeal, lex_groebner
 from .hochster import hochster_regularity
 
 ORACLE_MAX_N_DEFAULT = 8
@@ -90,7 +90,8 @@ def bounds(g):
     lo = hi = 0
     for sub, _ in gr.component_graphs(g):
         lo += gr.longest_induced_path(sub)[0]
-        hi += _component_upper(sub.n, [len(c) for c in gr.maximal_cliques(sub)])
+        sizes = [c.bit_count() for c in gr.clique_masks(sub.neighbor_masks())]
+        hi += _component_upper(sub.n, sizes)
     return lo, hi
 
 
@@ -107,11 +108,16 @@ def _relabelled(sub):
         return sub
     nb = sub.neighbor_masks()
     order = gr.reverse_cuthill_mckee(nb)
-    position = [0] * sub.n
+    renamed = [0] * sub.n  # renamed[v]: the bit of v's new name
     for k, v in enumerate(order):
-        position[v] = k
-    return gr.Graph(sub.n, [sum(1 << position[u] for u in gr.bits(nb[v]))
-                            for v in order])
+        renamed[v] = 1 << k
+    masks = []
+    for v in order:
+        mask = 0
+        for u in gr.bits(nb[v]):
+            mask |= renamed[u]
+        masks.append(mask)
+    return gr.Graph(sub.n, masks)
 
 
 def _initial_ideal(sub):
@@ -123,9 +129,17 @@ def _initial_ideal(sub):
     J_G to J_{sigma G}, so the regularity does not change; the basis does.
     It has one element per admissible path, an induced path whose interior
     lies outside [i, j] (Herzog et al. 2010), and a bandwidth-reducing
-    order makes most induced paths monotone, so not admissible."""
+    order makes most induced paths monotone, so not admissible.
+
+    The leads are taken as lex_groebner returns them, without
+    initial_ideal's minimalization.  The basis is reduced (Thm 2.1), so no
+    lead divides another and no two are equal, and it is sorted, so its
+    leads are already the increasing minimal generators.
+    hochster_regularity refuses a generator that is not minimal, so a basis
+    that broke this would fail loudly, not give a wrong value."""
     sub = _relabelled(sub)
-    return initial_ideal(lex_groebner(sub), 2 * sub.n)
+    return MonomialIdeal(2 * sub.n,
+                         tuple([lead for lead, _ in lex_groebner(sub)]))
 
 
 def _oracle_connected(sub):

@@ -209,6 +209,19 @@ class TestInitialIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal.from_supports(3, [0b011, 0])
 
+    @pytest.mark.parametrize("bad", [3.9, 1.5, "3"])
+    def test_non_integer_mask_rejected(self, bad):
+        # a float or a string names no set of variables; truncating it
+        # would build an ideal nobody asked for
+        with pytest.raises(ValueError, match=repr(bad)):
+            MonomialIdeal.from_supports(3, [0b011, bad])
+
+    def test_numpy_integer_mask_accepted(self):
+        numpy = pytest.importorskip("numpy")
+        ideal = MonomialIdeal.from_supports(3, [numpy.int64(0b011), 0b101])
+        assert ideal.gens == (0b011, 0b101)
+        assert all(type(m) is int for m in ideal.gens)
+
 
 def test_traced_layer_names_resolve():
     # the benchmark's tracer wraps these functions by name; a rename or

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -103,6 +104,28 @@ class TestOracle:
         monkeypatch.setattr(rg, "_oracle_memo", {})
         g = gr.Graph.from_edges(8, [(int(a), int(b)) for a, b in edges.split()])
         assert rg.oracle_reg(g) == 4
+
+    def test_each_component_passes_the_traced_layers_once(self, monkeypatch):
+        """With a cleared memo, oracle_reg calls lex_groebner and
+        hochster_regularity under the names regularity binds, once per
+        component of two or more vertices.  The benchmark's tracer wraps
+        those names, so it sees every basis and every sweep."""
+        calls = Counter()
+        for name in ("lex_groebner", "hochster_regularity"):
+            real = getattr(rg, name)
+            monkeypatch.setattr(
+                rg, name,
+                lambda arg, _name=name, _real=real: (calls.update([_name])
+                                                     or _real(arg)))
+        for g, components, value in [
+                (gr.cycle_graph(6), 1, 4),
+                (gr.disjoint_union(gr.cycle_graph(4), gr.path_graph(3),
+                                   gr.empty_graph(1)), 2, 4)]:
+            monkeypatch.setattr(rg, "_oracle_memo", {})
+            calls.clear()
+            assert rg.oracle_reg(g) == value
+            assert calls == {"lex_groebner": components,
+                             "hochster_regularity": components}
 
     def test_gate(self):
         with pytest.raises(rg.OracleGateError):
