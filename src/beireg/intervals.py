@@ -4,13 +4,27 @@ Endpoints are stored as integers in half-units (stored value = 2 x real
 value), which keeps all arithmetic exact and serialization lossless.  The
 constructions in this package only ever produce endpoints in half-units;
 families with other rational endpoints must be pre-rounded by the caller.
+
+Each union also holds a point mask, not a field: bit x is set iff the
+half-unit point x lies in a segment.  Two closed segments that meet share
+their larger left endpoint, a grid point, so unions meet iff their masks
+share a bit, and their least common point is the lowest bit of the AND.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .graphs import Graph, bits, clique_masks
+
+
+def _integer(value, name):
+    """value as an int (numpy's integers have __index__), or ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -24,20 +38,24 @@ class IntervalUnion:
     segments: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        prev_end = None
+        segments, points = [], 0
         for a, b in self.segments:
+            a, b = _integer(a, "endpoint"), _integer(b, "endpoint")
             if a < 0:
                 raise ValueError("endpoints must be non-negative")
             if b < a:
                 raise ValueError(f"segment [{a}, {b}] reversed")
-            if prev_end is not None and a <= prev_end:
+            if points >> a:  # a point at a or past it is taken
                 raise ValueError("segments must be sorted and separated")
-            prev_end = b
+            segments.append((a, b))
+            points |= (2 << b) - (1 << a)
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "_points", points)
 
     @classmethod
     def of(cls, *segments):
         """Segments given as (a, b) pairs in half-units."""
-        return cls(tuple((int(a), int(b)) for a, b in segments))
+        return cls(segments)
 
     def pretty(self):
         """Human-readable form in real units, e.g. '[1, 4.5] u [5, 5.5]'."""
@@ -48,38 +66,23 @@ class IntervalUnion:
 
 def intersects(a: IntervalUnion, b: IntervalUnion) -> bool:
     """Closed-interval intersection test; touching endpoints intersect."""
-    for sa, ea in a.segments:
-        for sb, eb in b.segments:
-            if sa <= eb and sb <= ea:
-                return True
-    return False
+    return a._points & b._points != 0
 
 
 def contains_integer(u: IntervalUnion, j: int) -> bool:
     """True iff the real value j lies in some segment."""
-    x = 2 * j
-    return any(a <= x <= b for a, b in u.segments)
+    return j >= 0 and u._points >> 2 * j & 1 == 1
 
 
 def common_point(unions) -> int | None:
     """Least common half-unit point of all unions, or None if the total
     intersection is empty."""
-    unions = list(unions)
-    if not unions:
+    common = -1  # every point
+    for u in unions:
+        common &= u._points
+    if common < 0:
         raise ValueError("common_point of an empty collection")
-    current = list(unions[0].segments)
-    for u in unions[1:]:
-        nxt = []
-        for a, b in current:
-            for c, d in u.segments:
-                lo, hi = max(a, c), min(b, d)
-                if lo <= hi:
-                    nxt.append((lo, hi))
-        if not nxt:
-            return None
-        nxt.sort()
-        current = nxt
-    return current[0][0]
+    return (common & -common).bit_length() - 1 if common else None
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,7 @@ class CLFamily:
     J: tuple[IntervalUnion, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ell", _integer(self.ell, "ell"))
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
 
@@ -133,12 +137,16 @@ class Violation:
 def _meet_masks(unions):
     """The neighbour masks of the graph on the unions, with p ~ q iff the
     unions p and q intersect."""
-    masks = [0] * len(unions)
-    for p, a in enumerate(unions):
-        for q in range(p + 1, len(unions)):
-            if intersects(a, unions[q]):
-                masks[p] |= 1 << q
-                masks[q] |= 1 << p
+    at = {}  # half-unit point -> the unions holding it
+    for p, u in enumerate(unions):
+        for x in bits(u._points):
+            at[x] = at.get(x, 0) | 1 << p
+    masks = []
+    for p, u in enumerate(unions):
+        mask = 0
+        for x in bits(u._points):
+            mask |= at[x]
+        masks.append(mask & ~(1 << p))
     return tuple(masks)
 
 
@@ -182,37 +190,28 @@ def _family_violation(f, meets):
         if segs[-1][1] >= 2 * f.ell:
             return Violation("ii", (f"I{i}",), f"right endpoint {segs[-1][1] / 2} not below ell={f.ell}")
 
-    # iii) Helly: every pairwise-intersecting subset has a common point.
-    # The maximal cliques of the meet graph are read from its masks in
-    # lexicographic order, which fixes the violation reported.
-    r = f.r
-    if r >= 2:
+    # iii) Helly: every pairwise-intersecting subset, and by ii every single
+    # union, has a common point.  The maximal cliques of the meet graph are
+    # read in lexicographic order, which fixes the violation reported.
+    if f.r >= 2:
         for clique in sorted(bits(c) for c in clique_masks(meets)):
-            if len(clique) < 2:
-                continue
-            if common_point([f.I[p] for p in clique]) is None:
+            if common_point(f.I[p] for p in clique) is None:
                 return Violation("iii", tuple(f"I{p + 1}" for p in clique),
                                  "pairwise intersecting but no common point")
 
     # iv) integer boundary compatibility of intersecting pairs: for I_p
-    # meeting I_q, no j <= ell in I_p but not in I_q has j + 1 or j - 1 in
-    # I_q but not in I_p.  The first failure is reported in order of p, q
-    # and j, j + 1 before j - 1; the integers of each union form a bitmask.
-    points = []
-    for u in f.I:
-        mask = 0
-        for a, b in u.segments:
-            if (a + 1) // 2 <= b // 2:
-                mask |= (2 << b // 2) - (1 << (a + 1) // 2)
-        points.append(mask)
-    candidates = (2 << f.ell) - 1  # j = 0 .. ell
-    for p in range(r):
+    # meeting I_q, no j <= ell in I_p but not in I_q (even bits 2j of the
+    # point masks) has j + 1 or j - 1 in I_q but not in I_p.  The first
+    # failure is reported in order of p, q and j, j + 1 before j - 1.
+    even = int("01" * (f.ell + 1), 2)
+    points = [u._points & even for u in f.I]
+    for p in range(f.r):
         for q in bits(meets[p]):
             extra = points[q] & ~points[p]
-            bad = points[p] & ~points[q] & (extra >> 1 | extra << 1) & candidates
+            bad = points[p] & ~points[q] & (extra >> 2 | extra << 2)
             if bad:
-                j = (bad & -bad).bit_length() - 1
-                k = j + 1 if extra >> (j + 1) & 1 else j - 1
+                j = (bad & -bad).bit_length() // 2
+                k = j + 1 if extra >> 2 * j + 2 & 1 else j - 1
                 return Violation("iv", (f"I{p + 1}", f"I{q + 1}", j),
                                  f"{k} in I{q + 1} but not in I{p + 1}")
     return None

@@ -164,15 +164,8 @@ def recognize_sig(g):
     an induced cycle of length j - i + 2 >= 4, which a chordal graph does
     not have.  So u's neighbours form one run, and its union one segment.
     """
-    if not gr.is_chordal(g):
-        return SIGRecognition(False, None)
-    return _sig_from_cl(recognize_cl(g))
-
-
-def _sig_from_cl(cl):
-    """recognize_sig's answer for a chordal graph whose recognize_cl result
-    is cl, for a caller that already holds cl."""
-    if isinstance(cl, NotCLReason):
+    cl = recognize_cl(g) if gr.is_chordal(g) else None
+    if not isinstance(cl, CLCertificate):
         return SIGRecognition(False, None)
     return SIGRecognition(True, tuple(part.family for part in cl.components))
 

@@ -12,8 +12,8 @@ Checks per class:
   wl-roundtrip        recognize_wl's decomposition passes its validator
   sig-implies-cl      strongly-interval recognition implies the clique
                       characterization; it holds by construction, since
-                      recognize_sig returns recognize_cl's families, whose
-                      unions are single segments on a chordal graph
+                      recognize_sig accepts a chordal graph exactly when
+                      recognize_cl certifies it, and returns its families
   structural          the structural solver's exact value or interval
                       contains the oracle value
   squarefree          each component's closed-form basis passes its
@@ -121,9 +121,8 @@ def check_one(g, oracle=None):
         results["wl-characterization"] = True
         results["wl-roundtrip"] = True
 
-    # recognize_sig(g), reusing cl; a graph without a CL certificate is no
-    # SIG, so only a CL graph is tested for chordality
-    sig_ok = cl_ok and gr.is_chordal(g) and rec._sig_from_cl(cl).is_sig
+    # recognize_sig(g), reusing cl: a chordal graph with a CL certificate
+    sig_ok = cl_ok and gr.is_chordal(g)
     results["sig-implies-cl"] = (not sig_ok) or cl_ok
 
     report = rg.structural_reg(g)

@@ -71,19 +71,16 @@ def gen_lrc(ell, r, c):
     labels = ["v"]
     edges = []
     nxt = 1
-    first_triangle_vertex = None
     for i in range(1, triangles + 1):
         a, b = nxt, nxt + 1
         nxt += 2
         labels += [f"v{i}", f"v{i}'"]
         edges += [(0, a), (0, b), (a, b)]
-        if first_triangle_vertex is None:
-            first_triangle_vertex = a
     for j in range(1, pendants + 1):
         labels.append(f"w{j}")
         edges.append((0, nxt))
         nxt += 1
-    prev = first_triangle_vertex
+    prev = 1  # the first triangle's; ell >= 2 gives at least two triangles
     for k in range(1, tail + 1):
         labels.append(f"u{k}")
         edges.append((prev, nxt))

@@ -10,9 +10,13 @@ the references for the structural solver's mask steps, `relabel` and
 exits, `reference_dominated` is the Hochster sweep's domination scan
 before its covers were precomputed, `unfiltered_enumeration` is graph
 enumeration before it skipped the extensions that are never kept,
-`reference_condition_iv` is the CL family's condition iv as a loop over
-every integer j, and `reference_cl_check` is the CL certificate validator
-on edge-pair sets and frozenset cliques, before it read neighbour masks.
+`reference_intersects`, `reference_contains_integer` and
+`reference_common_point` are the interval queries as loops over segments,
+before they read point masks, `reference_condition_iii` and
+`reference_condition_iv` are the CL family's conditions iii and iv on
+those loops, by brute-force cliques and by every integer j, and
+`reference_cl_check` is the CL certificate validator on edge-pair sets and
+frozenset cliques, before it read neighbour masks.
 """
 
 from collections import namedtuple
@@ -79,6 +83,41 @@ def splits_at(g, v):
     return parts
 
 
+def reference_intersects(a, b):
+    """intervals.intersects by a loop over the pairs of segments."""
+    for sa, ea in a.segments:
+        for sb, eb in b.segments:
+            if sa <= eb and sb <= ea:
+                return True
+    return False
+
+
+def reference_contains_integer(u, j):
+    """intervals.contains_integer by a scan of the segments."""
+    x = 2 * j
+    return any(a <= x <= b for a, b in u.segments)
+
+
+def reference_common_point(unions):
+    """intervals.common_point by intersecting the segment lists in turn."""
+    unions = list(unions)
+    if not unions:
+        raise ValueError("common_point of an empty collection")
+    current = list(unions[0].segments)
+    for u in unions[1:]:
+        nxt = []
+        for a, b in current:
+            for c, d in u.segments:
+                lo, hi = max(a, c), min(b, d)
+                if lo <= hi:
+                    nxt.append((lo, hi))
+        if not nxt:
+            return None
+        nxt.sort()
+        current = nxt
+    return current[0][0]
+
+
 def random_sig_family(rng):
     """A single-interval family with 2 <= ell <= 9 and up to five
     intervals [a, b], a an integer and a < b < ell, drawn from rng."""
@@ -91,21 +130,37 @@ def random_sig_family(rng):
     return iv.CLFamily(ell, tuple(unions))
 
 
+def reference_condition_iii(f):
+    """The first violation of condition iii of intervals.validate_cl_family:
+    the least maximal clique, in lexicographic order, of the brute-force
+    meet graph of the I unions that has two or more members and no common
+    point, or None."""
+    meets = gr.Graph.from_edges(f.r, [
+        (p, q) for p, q in combinations(range(f.r), 2)
+        if reference_intersects(f.I[p], f.I[q])])
+    for clique in brute_maximal_cliques(meets):
+        if (len(clique) >= 2
+                and reference_common_point(f.I[p] for p in clique) is None):
+            return iv.Violation("iii", tuple(f"I{p + 1}" for p in clique),
+                                "pairwise intersecting but no common point")
+    return None
+
+
 def reference_condition_iv(f):
     """The first violation of condition iv of intervals.validate_cl_family
     by a loop over the ordered pairs of intersecting I unions and every
-    j <= ell, with contains_integer on each integer, or None."""
+    j <= ell, with the segment scan on each integer, or None."""
     for p in range(f.r):
         for q in range(f.r):
-            if p == q or not iv.intersects(f.I[p], f.I[q]):
+            if p == q or not reference_intersects(f.I[p], f.I[q]):
                 continue
             for j in range(f.ell + 1):
-                if not (iv.contains_integer(f.I[p], j)
-                        and not iv.contains_integer(f.I[q], j)):
+                if not (reference_contains_integer(f.I[p], j)
+                        and not reference_contains_integer(f.I[q], j)):
                     continue
                 for k in (j + 1, j - 1):
-                    if (k >= 0 and not iv.contains_integer(f.I[p], k)
-                            and iv.contains_integer(f.I[q], k)):
+                    if (k >= 0 and not reference_contains_integer(f.I[p], k)
+                            and reference_contains_integer(f.I[q], k)):
                         return iv.Violation(
                             "iv", (f"I{p + 1}", f"I{q + 1}", j),
                             f"{k} in I{q + 1} but not in I{p + 1}")

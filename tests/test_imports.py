@@ -138,3 +138,47 @@ def test_package_imports_reads_every_form():
               "from math import gcd\n")
     assert package_imports(source) == {"", "cli", "formats", "graphs",
                                        "witnesses", "regularity"}
+
+
+def private_reads(source):
+    """The (module, name) pairs of the underscore names of other beireg
+    modules that source reads, as `from .module import _name` or as
+    `alias._name` after `from . import module as alias`."""
+    tree = ast.parse(source)
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_cross_module_private_reads_are_these():
+    """Each module reads another's private names only where this list
+    says; a new coupling is named here, or the name is made public."""
+    reads = {(path.stem, *read)
+             for path in sorted((SRC / "beireg").glob("*.py"))
+             for read in private_reads(path.read_text())}
+    assert reads == {
+        ("hochster", "groebner", "_byte_unions"),
+        ("recognition", "intervals", "_family_violation"),
+        ("recognition", "intervals", "_meet_masks"),
+    }
+
+
+def test_private_reads_reads_both_forms():
+    source = ("import os\nfrom . import graphs as gr, witnesses\n"
+              "from .groebner import _byte_unions, lex_groebner\n"
+              "def f(self):\n    from . import recognition as rec\n"
+              "    return (gr._masks, gr.bits, witnesses._check, rec._x,\n"
+              "            os._exit, self._points)\n")
+    assert private_reads(source) == {
+        ("graphs", "_masks"), ("witnesses", "_check"), ("recognition", "_x"),
+        ("groebner", "_byte_unions")}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations
@@ -7,7 +8,9 @@ import pytest
 from beireg import graphs as gr
 from beireg import intervals as iv
 
-from helpers import random_sig_family, reference_condition_iv
+from helpers import (random_sig_family, reference_common_point,
+                     reference_condition_iii, reference_condition_iv,
+                     reference_contains_integer, reference_intersects)
 
 
 # the three unions of the showcase family, in half-units
@@ -27,6 +30,67 @@ class TestIntervalUnion:
 
     def test_point_segment_allowed(self):
         assert iv.IntervalUnion.of((0, 0)).segments == ((0, 0),)
+
+    @pytest.mark.parametrize("make, value", [
+        (lambda: iv.IntervalUnion.of((1.5, 3)), "1.5"),
+        (lambda: iv.IntervalUnion.of(("2", "5")), "'2'"),
+        (lambda: iv.IntervalUnion(((0.5, 1.0),)), "0.5"),
+        (lambda: iv.CLFamily(2.5, ()), "2.5"),
+    ], ids=["float-of", "str-of", "float-init", "float-ell"])
+    def test_rejects_non_integers(self, make, value):
+        with pytest.raises(ValueError, match=f"{value} is not an integer"):
+            make()
+
+    def test_reads_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        u = iv.IntervalUnion.of((np.int64(2), np.int64(5)))
+        assert u == iv.IntervalUnion.of((2, 5))
+        assert {type(x) for seg in u.segments for x in seg} == {int}
+        assert iv.contains_integer(u, 2)
+        fam = iv.CLFamily(np.int64(3), (u,))
+        assert type(fam.ell) is int and iv.validate_cl_family(fam) is None
+
+    def test_point_mask_is_not_a_field(self):
+        # perfbench and the golden results serialize a union by its fields
+        assert [f.name for f in dataclasses.fields(iv.IntervalUnion)] == ["segments"]
+        assert repr(I3) == "IntervalUnion(segments=((6, 7),))"
+        twin = iv.IntervalUnion(((6, 7),))
+        assert twin == I3 and hash(twin) == hash(I3)
+
+
+def random_union(rng):
+    """One to four segments with endpoints below 13, often point segments
+    and short gaps, so that unions touch at an endpoint."""
+    segs, lo = [], 0
+    for _ in range(rng.randint(1, 4)):
+        if lo > 12:
+            break
+        a = rng.randint(lo, 12)
+        b = min(12, a + rng.choice((0, 0, 1, 2, rng.randint(0, 12))))
+        segs.append((a, b))
+        lo = b + rng.choice((1, 1, 2, 5))
+    return iv.IntervalUnion.of(*segs)
+
+
+def test_mask_queries_match_the_segment_loops():
+    """intersects, contains_integer (j from -2 to past the last segment)
+    and common_point agree with the segment loops on random unions, among
+    them point segments, touching endpoints and several segments."""
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(3000):
+        unions = [random_union(rng) for _ in range(rng.randint(1, 4))]
+        a, b = unions[0], unions[-1]
+        assert iv.intersects(a, b) == reference_intersects(a, b), (a, b)
+        assert iv.common_point(unions) == reference_common_point(unions), unions
+        for j in range(-2, 9):
+            assert iv.contains_integer(a, j) == reference_contains_integer(a, j), (a, j)
+        seen["point"] += any(x == y for x, y in a.segments)
+        seen["several"] += len(a.segments) > 1
+        seen["touching"] += any(y == c or d == x for x, y in a.segments
+                                for c, d in b.segments) and a != b
+        seen["apart"] += not reference_intersects(a, b)
+    assert min(seen.values()) >= 100, seen
 
 
 class TestIntersects:
@@ -74,8 +138,8 @@ def brute_condition_iii(family):
     for k in range(2, family.r + 1):
         for subset in combinations(range(family.r), k):
             unions = [family.I[i] for i in subset]
-            if all(iv.intersects(a, b) for a, b in combinations(unions, 2)):
-                if iv.common_point(unions) is None:
+            if all(reference_intersects(a, b) for a, b in combinations(unions, 2)):
+                if reference_common_point(unions) is None:
                     return subset
     return None
 
@@ -235,6 +299,25 @@ def test_condition_iv_matches_the_integer_loop():
             outcomes[violation and violation.detail.startswith(
                 str(violation.witness[2] + 1))] += 1
     assert min(outcomes[None], outcomes[True], outcomes[False]) >= 20, outcomes
+
+
+def test_condition_iii_matches_the_clique_reference():
+    """Where validate_cl_family reaches condition iii, its first violation
+    (the clique named) is the one the brute-force cliques and the segment
+    loops find, on random families; both outcomes occur."""
+    rng = random.Random(347)
+    outcomes = Counter()
+    for _ in range(3000):
+        fam = random_family(rng)
+        violation = iv.validate_cl_family(fam)
+        if violation is None or violation.condition in ("iii", "iv"):
+            expected = reference_condition_iii(fam)
+            if expected is None:
+                assert violation is None or violation.condition == "iv", fam
+            else:
+                assert violation == expected, fam
+            outcomes[expected is None] += 1
+    assert min(outcomes[True], outcomes[False]) >= 20, outcomes
 
 
 class TestHellyAndEmbedding:
